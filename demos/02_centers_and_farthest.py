@@ -29,7 +29,7 @@ for p in (1.5, 3.0, 4.0):
     res = chebyshev_center(A0)
     sp = sp_closed_form(p)
     print(f"p={p}: solver center {np.round(res.center, 6)}  closed form {sp:.6f}  "
-          f"radius {res.radius:.6f}  spread {res.multi_start_spread:.1e}")
+          f"radius {res.radius:.6f}  certified gap {res.gap:.1e}")
 
     s, r = symmetric_line_minimize(A0, np.ones(3))
     print(f"      1-d scan along the diagonal: s* = {s:.10f}, |s* - s_p| = {abs(s - sp):.2e}")

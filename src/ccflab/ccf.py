@@ -58,7 +58,7 @@ INDETERMINATE = "indeterminate"
 CCNF_EVIDENCE_MAX_RATIO = 0.99
 CCF_SIGNAL_MIN_RATIO = 0.9995
 
-_SCAN_OPTS = SolverOptions(max_iters=250, starts=1, tol=1e-4)
+_SCAN_OPTS = SolverOptions(max_iters=250, tol=1e-4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,9 +373,10 @@ def check_two_ball_properties(
 class RtzEstimate:
     """Sampled lower estimate of r_{t,z}, the Chebyshev radius of B_X ∩ B[z,t].
 
-    ``r_hat`` is the solved radius of a finite inner sample, so it
-    under-estimates r_{t,z} up to solver slack; it never exceeds t (the start
-    z already achieves radius <= t on any subset of B[z, t]).
+    ``r_hat`` is the solved radius of a finite inner sample: exact for that
+    sample up to ``gap``, the solver's certified bound, and so an
+    under-estimate of r_{t,z} up to ``gap``.  It never exceeds t (the
+    candidate z already achieves radius <= t on any subset of B[z, t]).
     ``sample_count`` counts rejection-sampler acceptances; the solve also
     always includes the two deterministic anchor points z and (1-t)z.
     """

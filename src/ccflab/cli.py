@@ -335,10 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tolerance override (solver=, center=, farthest=, achiever=, cap=)")
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-        p.add_argument("--starts", type=int, default=None)
+        p.add_argument("--max-iters", type=int, default=None, dest="max_iters",
+                       help="ellipsoid iterations per working-set round (default 1000 + 50 n^2 in dim n)")
+        p.add_argument("--starts", type=int, default=None,
+                       help="accepted and validated; no longer changes results")
         p.add_argument("--no-polish", action="store_true", dest="no_polish",
-                       help="skip the local polish stage (diagnostics)")
+                       help="accepted; no longer changes results")
 
     common(sub.add_parser("center", help="Chebyshev center of a point-set JSON"))
     common(sub.add_parser("farthest", help="farthest-point query"))

@@ -1,12 +1,21 @@
 """Chebyshev center and radius computation for finite point sets.
 
-The objective F(x) = max_a ||x - a|| is convex but nonsmooth at ties.  The
-general solver is multi-start subgradient descent (the subgradient comes from
-any achieving point's norm subdifferential, with deterministic tie-breaking),
-followed by a bounded derivative-free polish in low dimension.  For the
-Euclidean family the minimax problem is exactly the minimum enclosing ball
-problem, which is solved exactly by a randomized-incremental algorithm
-instead.
+The objective F(x) = max_a ||x - a|| is convex but nonsmooth at ties.  Every
+norm family takes one path: the deep-cut ellipsoid method (Bland, Goldfarb &
+Todd, "The ellipsoid method: a survey", Oper. Res. 1981), run on a working
+set W of the points.  Each iteration cuts the current ellipsoid, which still
+holds every Chebyshev center of W, with a subgradient g of F_W at its center
+x; the subgradient inequality then bounds r(W) <= r(A) from below by
+F_W(x) - max_{y in E} g.(x - y).  A round stops once the best radius is
+within 1e-12 * max(1, radius) of the best such bound, or when its budget runs
+out.  The points of A that the round's center misses then join W (a
+Badoiu-Clarkson core set), and rounds repeat until none remain, so large
+samples cost about as much as their few active points.  The gap between the
+radius and the bound is the certificate reported as ``CenterResult.gap``.
+
+The ellipsoid is kept in factored form, P = L L^T, so it stays positive
+definite however thin it gets.  In one dimension every norm is a multiple
+of |x|, and the midpoint of the extreme points is the exact center.
 
 An independent brute-force grid oracle (:func:`brute_force_center`) is kept
 deliberately separate from the solver path so the two can cross-check each
@@ -15,21 +24,11 @@ other in tests.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .norms import (
-    NormSpec,
-    PNorm,
-    WeightedPNorm,
-    as_vector,
-    eval_norm,
-    norm_subgradient,
-)
-from .sampling import rng_stream
+from .norms import as_vector, eval_norm, linf_lower_constant, norm_subgradient
 from .sets import DEFAULT_ACHIEVER_TOL, PointSet, outer_radius
 
 __all__ = [
@@ -43,18 +42,26 @@ __all__ = [
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
+# A round stops once its certified gap is below this share of max(1, radius).
+_ROUND_RTOL = 1e-12
+# Points farthest from the start that make up the first working set, and the
+# most violators that join it per round, per dimension plus one.
+_CORE_PER_DIM = 4
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs for :func:`chebyshev_center`.
 
-    ``step_schedule`` is "geometric" (step decays by ``geometric_decay`` per
-    iteration; None picks a decay that shrinks the step by 1e-6 over the
-    budget) or "polyak_like" (uses diameter/2 as the objective lower bound).
-    Runs are deterministic given ``seed``.
+    ``max_iters`` bounds the ellipsoid iterations of each working-set round;
+    None picks 1000 + 50 n^2 in dimension n, since the iterations a round
+    needs grow as n^2.  The result is ``converged`` when its certified gap
+    is at most ``tol * max(1, radius)``.  ``starts``, ``step_schedule``,
+    ``geometric_decay``, ``polish`` and ``seed`` are validated but no longer
+    change the result: the solver is deterministic and has no random starts.
     """
 
-    max_iters: int = 1200
+    max_iters: int | None = None
     step_schedule: str = "geometric"
     geometric_decay: float | None = None
     starts: int = 8
@@ -79,10 +86,11 @@ class CenterResult:
     """A center estimate with certificate data.
 
     ``radius`` is always the exact outer radius of the set at ``center``.
-    ``gap`` is a certified upper bound on radius - r(A), computed from the
-    best known lower bound on r(A) (at least diameter/2); it may be loose.
-    ``multi_start_spread`` is the max pairwise distance among per-start
-    results (0.0 for the exact Euclidean path).
+    ``gap`` is a certified upper bound on radius - r(A): radius minus the
+    best lower bound on r(A) the ellipsoid cuts proved.  It is tight, at most
+    1e-12 * max(1, radius) unless the iteration budget ran out.
+    ``multi_start_spread`` is kept for the JSON schema; the single-path
+    solver always reports 0.0.
     """
 
     center: np.ndarray
@@ -135,246 +143,41 @@ class CenterResult:
         )
 
 
-# --- exact minimum enclosing ball for the Euclidean family ------------------
+def _ellipsoid_round(A: PointSet, W: np.ndarray, x0: np.ndarray, max_iters: int):
+    """Deep-cut ellipsoid method on F_W(x) = max_{a in W} ||x - a||.
 
-
-def _circumball(R: list[np.ndarray]):
-    """Smallest ball with the affinely independent points of R on its boundary."""
-    if not R:
-        return None, -1.0
-    q0 = R[0]
-    if len(R) == 1:
-        return q0.copy(), 0.0
-    V = np.stack(R[1:]) - q0
-    G = 2.0 * V @ V.T
-    rhs = np.einsum("ij,ij->i", V, V)
-    try:
-        lam = np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError:
-        lam, *_ = np.linalg.lstsq(G, rhs, rcond=None)
-    c = q0 + lam @ V
-    return c, float(np.dot(c - q0, c - q0))
-
-
-def _meb_recursive(pts: np.ndarray, rng: np.random.Generator):
-    """Welzl's algorithm with randomized order; exact for small sets, any dim."""
-    order = [pts[i] for i in rng.permutation(len(pts))]
-    dim = pts.shape[1]
-    limit = max(sys.getrecursionlimit(), 64 * (len(order) + 8))
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit)
-    try:
-
-        def mb(n: int, R: list[np.ndarray]):
-            if n == 0 or len(R) == dim + 1:
-                return _circumball(R)
-            c, r2 = mb(n - 1, R)
-            p = order[n - 1]
-            if c is not None:
-                d2 = float(np.dot(p - c, p - c))
-                if d2 <= r2 * (1.0 + 1e-12) + 1e-30:
-                    return c, r2
-            return mb(n - 1, R + [p])
-
-        c, r2 = mb(len(order), [])
-    finally:
-        sys.setrecursionlimit(old)
-    return np.asarray(c), np.sqrt(max(r2, 0.0))
-
-
-def _meb_2d(pts: np.ndarray, rng: np.random.Generator):
-    """Randomized-incremental smallest enclosing circle; O(n) expected.
-
-    Plain-float inner loops: fast enough for ~10^4-point samples and avoids
-    recursion entirely.
+    Starts from the Euclidean ball of radius 2 F_W(x0) sqrt(n) / a around x0
+    (a = linf_lower_constant), which holds every Chebyshev center c of W:
+    ||c - x0|| <= r(W) + F_W(x0).  Returns the best point, its value, the
+    best certified lower bound on r(W) and the iterations used.
     """
-    idx = rng.permutation(len(pts))
-    P = [(float(pts[i, 0]), float(pts[i, 1])) for i in idx]
-    eps = 1e-12
-
-    def d2(a, b):
-        dx = a[0] - b[0]
-        dy = a[1] - b[1]
-        return dx * dx + dy * dy
-
-    def circum(a, b, c):
-        ax, ay = a
-        bx, by = b
-        cx, cy = c
-        d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-        if abs(d) < 1e-14 * (abs(ax) + abs(bx) + abs(cx) + 1.0):
-            # Nearly collinear: fall back to the widest diametral pair.
-            pairs = [(a, b), (a, c), (b, c)]
-            u, v = max(pairs, key=lambda uv: d2(*uv))
-            ctr = ((u[0] + v[0]) / 2.0, (u[1] + v[1]) / 2.0)
-            return ctr, d2(u, ctr)
-        ux = (
-            (ax * ax + ay * ay) * (by - cy)
-            + (bx * bx + by * by) * (cy - ay)
-            + (cx * cx + cy * cy) * (ay - by)
-        ) / d
-        uy = (
-            (ax * ax + ay * ay) * (cx - bx)
-            + (bx * bx + by * by) * (ax - cx)
-            + (cx * cx + cy * cy) * (bx - ax)
-        ) / d
-        ctr = (ux, uy)
-        return ctr, max(d2(ctr, a), d2(ctr, b), d2(ctr, c))
-
-    c = P[0]
-    r2 = 0.0
-    for i in range(1, len(P)):
-        p = P[i]
-        if d2(p, c) <= r2 * (1.0 + eps) + 1e-30:
-            continue
-        c, r2 = p, 0.0
-        for j in range(i):
-            q = P[j]
-            if d2(q, c) <= r2 * (1.0 + eps) + 1e-30:
-                continue
-            c = ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
-            r2 = d2(p, c)
-            for k in range(j):
-                s = P[k]
-                if d2(s, c) <= r2 * (1.0 + eps) + 1e-30:
-                    continue
-                c, r2 = circum(p, q, s)
-    return np.array(c), np.sqrt(max(r2, 0.0))
-
-
-def _euclidean_scaling(norm: NormSpec):
-    """Per-coordinate scaling making ``norm`` the plain l2 norm, if possible."""
-    fam = norm.family
-    if isinstance(fam, PNorm) and fam.p == 2.0:
-        return np.ones(norm.dim)
-    if isinstance(fam, WeightedPNorm) and fam.p == 2.0:
-        return np.sqrt(np.asarray(fam.weights))
-    return None
-
-
-# --- subgradient descent -----------------------------------------------------
-
-
-def _diameter_lower_bound(A: PointSet) -> float:
-    """Exact diameter for small sets; a two-sweep anchor bound for large ones."""
-    pts = A.points
-    m = len(pts)
-    if m <= 1024:
-        best = 0.0
-        for i in range(m - 1):
-            d = eval_norm(A.norm, pts[i + 1 :] - pts[i])
-            best = max(best, float(np.max(d)))
-        return best
-    d0 = np.atleast_1d(eval_norm(A.norm, pts - pts[0]))
-    a = pts[int(np.argmax(d0))]
-    d1 = np.atleast_1d(eval_norm(A.norm, pts - a))
-    b = pts[int(np.argmax(d1))]
-    d2 = np.atleast_1d(eval_norm(A.norm, pts - b))
-    return float(max(np.max(d1), np.max(d2)))
-
-
-def _objective(A: PointSet, x: np.ndarray) -> float:
-    return float(np.max(np.atleast_1d(eval_norm(A.norm, x - A.points))))
-
-
-def _subgradient_run(A: PointSet, x0: np.ndarray, opts: SolverOptions, lb: float):
-    pts = A.points
-    norm = A.norm
-    x = x0.astype(float).copy()
-    dists = np.atleast_1d(eval_norm(norm, x - pts))
-    best_f = float(np.max(dists))
-    best_x = x.copy()
-    trace_best = [best_f]
-
-    scale = max(best_f, 1e-12)
-    step0 = 0.5 * scale
-    decay = opts.geometric_decay
-    if decay is None:
-        decay = (1e-6) ** (1.0 / max(opts.max_iters, 1))
-
-    step = step0
-    for k in range(opts.max_iters):
+    n = A.dim
+    x = x0
+    best_x, best_f = x0, float(np.max(eval_norm(A.norm, W - x0)))
+    L = np.eye(n) * (2.0 * best_f * np.sqrt(n) / linf_lower_constant(A.norm))
+    lower = -np.inf
+    k = 0
+    while k < max_iters:
+        k += 1
+        dists = eval_norm(A.norm, x - W)
         i = int(np.argmax(dists))
-        g = norm_subgradient(norm, x - pts[i])
-        gn = float(np.linalg.norm(g))
-        if gn <= 1e-15:
-            break
-        if opts.step_schedule == "polyak_like":
-            step = max(best_f - lb, 0.0) / (gn * gn)
-            step = min(step, scale)
-            if step <= 1e-16:
-                step = 1e-16
-            x = x - step * g
-        else:
-            x = x - (step / gn) * g
-            step *= decay
-        dists = np.atleast_1d(eval_norm(norm, x - pts))
-        f = float(np.max(dists))
+        f = float(dists[i])
         if f < best_f:
-            best_f = f
-            best_x = x.copy()
-        trace_best.append(best_f)
-
-    # Running minimum is non-increasing by construction; keep the sanity check
-    # cheap but real.
-    assert all(b >= a for a, b in zip(trace_best[1:], trace_best)), "running min increased"
-
-    window = max(50, opts.max_iters // 4)
-    if len(trace_best) > window:
-        recent_gain = trace_best[-window - 1] - trace_best[-1]
-    else:
-        recent_gain = trace_best[0] - trace_best[-1]
-    return best_x, best_f, recent_gain, len(trace_best) - 1
-
-
-def _is_stationary(A: PointSet, x: np.ndarray, fx: float, opts: SolverOptions) -> bool:
-    """Local probe: does any coordinate or random direction still descend?
-
-    The objective is convex, so the probe decrease is bounded by the true
-    suboptimality; a material decrease means max_iters stopped us early.
-    """
-    delta = max(10.0 * opts.tol, 1e-7) * (1.0 + fx)
-    dirs = list(np.eye(A.dim))
-    rng = rng_stream(opts.seed, "stationarity")
-    for _ in range(4):
-        d = rng.normal(size=A.dim)
-        dirs.append(d / np.linalg.norm(d))
-    threshold = 5.0 * opts.tol * (1.0 + fx)
-    for d in dirs:
-        if fx - _objective(A, x + delta * d) > threshold:
-            return False
-        if fx - _objective(A, x - delta * d) > threshold:
-            return False
-    return True
-
-
-def _polish(A: PointSet, x: np.ndarray) -> np.ndarray:
-    res = minimize(
-        lambda v: _objective(A, v),
-        x,
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-10,
-            "fatol": 1e-14,
-            "maxiter": 400 * A.dim,
-            "adaptive": A.dim > 3,
-        },
-    )
-    return res.x if res.fun <= _objective(A, x) else x
-
-
-def _start_points(A: PointSet, opts: SolverOptions, extra) -> list[np.ndarray]:
-    pts = A.points
-    centroid = pts.mean(axis=0)
-    starts: list[np.ndarray] = [np.asarray(s, dtype=float) for s in (extra or [])]
-    starts.append(centroid)
-    for i in range(min(len(pts), max(opts.starts - 1, 0))):
-        starts.append(pts[i].astype(float))
-    rng = rng_stream(opts.seed, "solver-starts")
-    spread = max(float(np.max(np.ptp(pts, axis=0))), 1e-6)
-    while len(starts) < opts.starts + len(extra or []):
-        starts.append(centroid + rng.normal(scale=0.25 * spread, size=A.dim))
-    return starts[: opts.starts + len(extra or [])]
+            best_x, best_f = x, f
+        Lg = L.T @ norm_subgradient(A.norm, x - W[i])
+        width = float(np.linalg.norm(Lg))  # max of g.(x - y) over the ellipsoid
+        lower = max(lower, f - width)
+        if best_f - lower <= _ROUND_RTOL * max(1.0, best_f):
+            break
+        # Deep cut: every center y has g.(y - x) <= best_f - f = -alpha * width.
+        alpha = (f - best_f) / width
+        u = Lg / width
+        Lu = L @ u
+        x = x - (1.0 + n * alpha) / (n + 1.0) * Lu
+        sigma = 2.0 * (1.0 + n * alpha) / ((n + 1.0) * (1.0 + alpha))
+        scale = np.sqrt(n * n * (1.0 - alpha * alpha) / (n * n - 1.0))
+        L = scale * (L - (1.0 - np.sqrt(1.0 - sigma)) * np.outer(Lu, u))
+    return best_x, best_f, lower, k
 
 
 def chebyshev_center(
@@ -382,9 +185,10 @@ def chebyshev_center(
 ) -> CenterResult:
     """Minimize x -> max_a ||x - a|| over the ambient space.
 
-    Deterministic given opts.seed.  ``extra_starts`` prepends additional
-    deterministic starting points (used by callers that know structurally
-    good candidates); they do not count against ``opts.starts``.
+    The centroid and ``extra_starts`` (callers' structurally good candidates)
+    compete as starting points, and stay candidates for the returned center,
+    so the returned radius never exceeds any of theirs.  The result is
+    deterministic for a given input.
 
     Non-convergence within the iteration budget is reported via the
     ``not_converged`` flag on the result, never by raising.
@@ -393,73 +197,41 @@ def chebyshev_center(
     if A.dim > opts.dim_cap:
         raise ValueError(f"dimension {A.dim} exceeds solver cap {opts.dim_cap}")
     pts = A.points
-    norm = A.norm
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    if A.dim == 1 or np.array_equal(lo, hi):
+        # r(A) >= diam(A)/2, which the midpoint attains in one dimension.
+        lower = float(eval_norm(A.norm, hi - lo)) / 2.0
+        return _assemble(A, (lo + hi) / 2.0, lower, iterations=0)
 
-    diam_lb = _diameter_lower_bound(A)
-    lb = diam_lb / 2.0
+    starts = [pts.mean(axis=0)] + [as_vector(s, A.dim, "start") for s in extra_starts or ()]
+    dists = [eval_norm(A.norm, pts - s) for s in starts]
+    k = int(np.argmin([np.max(d) for d in dists]))
+    best_x, best_r, d = starts[k], float(np.max(dists[k])), dists[k]
 
-    if diam_lb == 0.0:  # all points identical
-        center = pts[0].astype(float)
-        return _assemble(A, center, gap_lb=0.0, iterations=0, spread=0.0, flags=())
+    budget = 1000 + 50 * A.dim**2 if opts.max_iters is None else opts.max_iters
+    core = _CORE_PER_DIM * (A.dim + 1)
+    W = np.argsort(-d, kind="stable")[:core]
+    lower = 0.0
+    iterations = 0
+    while True:
+        x, f_w, lb, its = _ellipsoid_round(A, pts[W], best_x, budget)
+        iterations += its
+        lower = max(lower, lb)
+        d = eval_norm(A.norm, pts - x)
+        if float(np.max(d)) < best_r:
+            best_x, best_r = x, float(np.max(d))
+        violators = np.setdiff1d(np.flatnonzero(d > f_w), W)
+        if not violators.size:
+            break
+        W = np.concatenate([W, violators[np.argsort(-d[violators], kind="stable")[:core]]])
 
-    scaling = _euclidean_scaling(norm)
-    if scaling is not None:
-        rng = rng_stream(opts.seed, "meb")
-        scaled = pts * scaling
-        if A.dim == 2:
-            c_s, _ = _meb_2d(scaled, rng)
-        elif len(pts) <= 512:
-            # linear recursion depth equals the point count; keep it stack-safe
-            c_s, _ = _meb_recursive(scaled, rng)
-        else:
-            c_s = None
-        if c_s is not None:
-            center = np.asarray(c_s, dtype=float) / scaling
-            # The support set certifies optimality; the enclosing-ball radius
-            # is itself the best lower bound.
-            return _assemble(
-                A,
-                center,
-                gap_lb=outer_radius(A, center),
-                iterations=len(pts),
-                spread=0.0,
-                flags=(),
-            )
-
-    starts = _start_points(A, opts, extra_starts)
-    finals: list[list] = []
-    total_iters = 0
-    for x0 in starts:
-        bx, bf, gain, iters = _subgradient_run(A, x0, opts, lb)
-        total_iters += iters
-        finals.append([bx, bf, gain])
-
-    finals.sort(key=lambda t: t[1])
-    if opts.polish and A.dim <= 16:
-        n_polish = len(finals) if len(pts) * A.dim <= 4096 else 1
-        for entry in finals[:n_polish]:
-            entry[0] = _polish(A, entry[0])
-            entry[1] = _objective(A, entry[0])
-        finals.sort(key=lambda t: t[1])
-    best_x, best_f, best_gain = finals[0]
-
-    # Spread over converged starts only: those whose radius matches the best.
-    close = [e for e in finals if e[1] <= best_f + 10.0 * opts.tol * (1.0 + best_f)]
-    spread = 0.0
-    for i in range(len(close)):
-        for j in range(i + 1, len(close)):
-            spread = max(spread, float(eval_norm(norm, close[i][0] - close[j][0])))
-
-    if A.dim <= 16:
-        converged = _is_stationary(A, best_x, best_f, opts)
-    else:
-        converged = best_gain <= opts.tol * (1.0 + best_f)
-    flags: tuple[str, ...] = () if converged else ("not_converged",)
-
-    return _assemble(A, best_x, gap_lb=lb, iterations=total_iters, spread=spread, flags=flags)
+    result = _assemble(A, best_x, lower, iterations)
+    if result.gap > opts.tol * max(1.0, result.radius):
+        result = replace(result, flags=("not_converged",))
+    return result
 
 
-def _assemble(A, center, gap_lb, iterations, spread, flags) -> CenterResult:
+def _assemble(A, center, gap_lb, iterations, flags=()) -> CenterResult:
     radius = outer_radius(A, center)
     dists = np.atleast_1d(eval_norm(A.norm, center - A.points))
     tol = max(DEFAULT_ACHIEVER_TOL, 1e-12 * radius)
@@ -470,7 +242,7 @@ def _assemble(A, center, gap_lb, iterations, spread, flags) -> CenterResult:
         achieving_indices=achievers,
         gap=max(radius - gap_lb, 0.0),
         iterations=int(iterations),
-        multi_start_spread=float(spread),
+        multi_start_spread=0.0,
         flags=flags,
     )
 
@@ -536,7 +308,7 @@ def brute_force_center(
     if np.any(best_x <= lo0 + 0.5 * spacing) or np.any(best_x >= hi0 - 0.5 * spacing):
         flags = ("box_boundary",)
 
-    result = _assemble(A, best_x, gap_lb=0.0, iterations=evals, spread=0.0, flags=flags)
+    result = _assemble(A, best_x, 0.0, evals, flags)
     cell_diag = float(eval_norm(A.norm, spacing))
     return replace(result, gap=cell_diag)
 

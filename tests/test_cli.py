@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ccflab
 from ccflab import CenterResult, FarthestQuery, WitnessVerdict, norm_to_dict, pnorm
 from ccflab.cli import main, reproduce_all
 
@@ -29,6 +34,22 @@ EUCLID_BAD_WITNESS = {
 }
 
 
+# Three points in R^6 under l1 + l2/2 whose center has all three as achievers;
+# multi-start subgradient descent stopped at radius 2.0937767 with one.
+SUM_6D_SET = {
+    "norm": {"dim": 6, "family": {"sum": [[1.0, {"dim": 6, "family": {"pnorm": 1.0}}],
+                                          [0.5, {"dim": 6, "family": {"pnorm": 2.0}}]]}},
+    "points": [
+        [0.2867569048280434, 0.01667186339359339, 0.6239194224572531,
+         -0.5012939670251642, -0.14898544806264358, -0.07611468437369906],
+        [0.5695570753346626, -0.3115095786730675, -0.8009045298342277,
+         -0.03262367285646062, 0.36275875144429004, -0.3657598380479967],
+        [0.5734962886343806, -0.1834733071760115, 0.44111504421905834,
+         -0.10063226637402756, -0.9379597878197119, 0.09282133248391067],
+    ],
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -51,6 +72,13 @@ class TestExitCodes:
         code, out, _ = run(capsys, "ccf-verify", "--input", json.dumps(EUCLID_BAD_WITNESS))
         assert code == 1
         assert json.loads(out)["verdict"] == "farthest_fails"
+
+    def test_six_dim_sum_norm_center_converges(self, capsys):
+        code, out, _ = run(capsys, "center", "--input", json.dumps(SUM_6D_SET), "--seed", "51")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["radius"] <= 2.0934261
+        assert payload["achievers"] == [0, 1, 2]
 
     def test_malformed_json_exit_two_with_position(self, capsys):
         code, _, err = run(capsys, "center", "--input", '{"norm": {"dim": 2,, }}')
@@ -195,3 +223,12 @@ class TestReproduceAll:
         assert (out_dir / "scan_l1.csv").exists()
         assert sorted(p.name for p in (out_dir / "reports").glob("*.json"))
         assert "finite-dim" in summary0
+
+
+class TestImportFootprint:
+    def test_import_loads_no_scipy(self):
+        src = str(Path(ccflab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = "import sys, ccflab, ccflab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"

@@ -17,6 +17,7 @@ from ccflab import (
     symmetric_line_minimize,
     weighted_pnorm,
 )
+from ccflab.norms import linf_lower_constant
 from ccflab.sampling import rng_stream
 
 
@@ -119,6 +120,68 @@ class TestChebyshevCenter:
     def test_result_json_round_trip(self):
         res = chebyshev_center(unit_vectors_set(3.0))
         assert CenterResult.from_dict(res.to_dict()) == res
+
+
+def _certificate_corpus():
+    """Seeded sets of every family in dims 1-6, each with duplicate points,
+    polyhedral sets whose center need not be unique, and one planar sample
+    large enough to take several working-set rounds."""
+    rng = rng_stream(8, "certificate")
+    out = []
+    for dim in range(1, 7):
+        for spec in (
+            pnorm(dim, 1),
+            pnorm(dim, 1.5),
+            pnorm(dim, 2),
+            pnorm(dim, 3),
+            pnorm(dim, float("inf")),
+            sum_composite(dim, [(1.0, pnorm(dim, 1)), (0.5, pnorm(dim, 2))]),
+            sup_plus_weighted_l2(rng.uniform(0.25, 4.0, size=dim)),
+            weighted_pnorm(3.0, rng.uniform(0.25, 4.0, size=dim)),
+        ):
+            pts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 9)), dim))
+            out.append(PointSet(spec, np.vstack([pts, pts[:2]])))
+    for dim in (2, 2, 2, 2, 2, 2, 3, 4, 6):
+        p = 1 if dim == 2 else float("inf")
+        out.append(PointSet(pnorm(dim, p), rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 9)), dim))))
+    out += [
+        PointSet(pnorm(2, 1), [[1.0, 0.0], [0.0, 1.0], [0.2, 0.3], [1.0, 0.0]]),
+        PointSet(pnorm(3, float("inf")), [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.5, -0.5]]),
+        PointSet(pnorm(2, 3), rng.uniform(-1.0, 1.0, size=(6000, 2))),
+    ]
+    return out
+
+
+def _polyhedral_radius(A):
+    """Exact r(A) where a closed form exists, else None: half the largest
+    coordinate spread for linf, and for planar l1 the same after the
+    isometry x -> (x1 + x2, x1 - x2) onto linf."""
+    fam = A.norm.family
+    if getattr(fam, "p", None) == float("inf"):
+        return float(np.max(np.ptp(A.points, axis=0))) / 2.0
+    if getattr(fam, "p", None) == 1.0 and A.dim == 2:
+        return float(np.max(np.ptp(A.points @ [[1.0, 1.0], [1.0, -1.0]], axis=0))) / 2.0
+    return None
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("A", _certificate_corpus(), ids=lambda A: f"{A.dim}d-{len(A)}pts")
+    def test_gap_certifies_radius(self, A):
+        tol = SolverOptions().tol
+        res = chebyshev_center(A)
+        assert res.radius == outer_radius(A, res.center)
+        assert res.gap >= 0.0
+        assert res.converged
+        assert res.gap <= tol * max(1.0, res.radius)
+        lower = res.radius - res.gap
+        if A.dim <= 3:
+            # every center lies within r / a of each point in every coordinate
+            pad = 1.25 * res.radius / linf_lower_constant(A.norm)
+            oracle = brute_force_center(A, (A.points.max(axis=0) - pad, A.points.min(axis=0) + pad))
+            assert lower <= oracle.radius + oracle.gap
+        exact = _polyhedral_radius(A)
+        if exact is not None:
+            assert lower <= exact + 1e-12 * max(1.0, exact)
 
 
 class TestPythagoreanRadiusBound:
