@@ -13,8 +13,6 @@ density, never a proof.
 from __future__ import annotations
 
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +55,6 @@ INDETERMINATE = "indeterminate"
 # so only near-exact cells count as a CCF signal.
 CCNF_EVIDENCE_MAX_RATIO = 0.99
 CCF_SIGNAL_MIN_RATIO = 0.9995
-
-_SCAN_OPTS = SolverOptions(max_iters=250, tol=1e-4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,7 +349,7 @@ def check_two_ball_properties(
             proposals=proposed,
         )
     sample_set = PointSet(A.norm, pts)
-    solved = chebyshev_center(sample_set, opts or _SCAN_OPTS, extra_starts=[U.c])
+    solved = chebyshev_center(sample_set, opts, extra_starts=[U.c])
     r_c_sample = outer_radius(sample_set, U.c)
     max_to_y = float(np.max(np.atleast_1d(eval_norm(A.norm, pts - U.y))))
     return TwoBallReport(
@@ -445,7 +441,10 @@ def estimate_r_tz(
     rejection-sampler proposals drawn from the bounding box of the
     intersection.  The points z and (1-t)z always join the sample (both lie
     in the body), so the estimate is defined even for thin intersections;
-    acceptance below 1e-3 is flagged as ``thin_intersection``.
+    acceptance below 1e-3 is flagged as ``thin_intersection``.  ``opts``
+    goes to the solver as given (None means ``SolverOptions()``); a solve
+    whose certified gap misses its tolerance is flagged
+    ``solver_not_converged``.
     """
     az = as_vector(z, norm.dim, "z")
     if abs(float(eval_norm(norm, az)) - 1.0) > 1e-9:
@@ -466,7 +465,7 @@ def estimate_r_tz(
         flags = ("thin_intersection",)
 
     sample_set = PointSet(norm, pts)
-    solved = chebyshev_center(sample_set, opts or _SCAN_OPTS, extra_starts=[az])
+    solved = chebyshev_center(sample_set, opts, extra_starts=[az])
     if not solved.converged:
         flags = flags + ("solver_not_converged",)
     return RtzEstimate(
@@ -568,14 +567,6 @@ class ScanResult:
         )
 
 
-def _worker_count() -> int:
-    env = os.environ.get("CCFLAB_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def ccnf_scan(
     norm: NormSpec,
     z_count: int,
@@ -588,9 +579,10 @@ def ccnf_scan(
 ) -> ScanResult:
     """Estimate r_{t,z} over a deterministic unit-sphere sample times a t-grid.
 
-    Cells are independent; with CCFLAB_THREADS > 1 they are fanned out over a
-    thread pool.  Every cell derives its own Philox stream from (seed, cell
-    indices), so results are identical regardless of scheduling.
+    Cells run one after another, z-major.  Every cell derives its own
+    Philox stream from (seed, cell indices), so each row depends only on its
+    own cell, not on the order the cells run in.  ``opts`` is passed to every
+    cell's solve.
     """
     ts = tuple(float(t) for t in t_grid)
     if not ts:
@@ -599,25 +591,11 @@ def ccnf_scan(
         raise ValueError("t values must lie in (0, 1]")
     zs = sample_unit_vectors(norm, z_count, rng_stream(seed, "scan-z"))
 
-    cells = [(zi, ti) for zi in range(z_count) for ti in range(len(ts))]
-
-    def run_cell(cell):
-        zi, ti = cell
-        return estimate_r_tz(
-            norm,
-            zs[zi],
-            ts[ti],
-            samples,
-            opts=opts,
-            seed=_cell_seed(seed, zi, ti),
-        )
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(run_cell, cells))
-    else:
-        rows = tuple(run_cell(c) for c in cells)
+    rows = tuple(
+        estimate_r_tz(norm, zs[zi], ts[ti], samples, opts=opts, seed=_cell_seed(seed, zi, ti))
+        for zi in range(z_count)
+        for ti in range(len(ts))
+    )
     return ScanResult(
         norm=norm,
         rows=rows,

@@ -11,8 +11,9 @@ operational errors:
 * 3: solver indeterminate (non-convergence)
 
 Outputs are deterministic for a fixed seed and are written atomically
-(temp file + rename); inputs are never modified.  The environment variable
-CCFLAB_THREADS caps the scan worker count.
+(temp file + rename); inputs are never modified.  Every solve takes the same
+two solver settings: ``--max-iters`` (ellipsoid iterations per working-set
+round) and ``--tol solver=`` (the certified gap that counts as converged).
 """
 
 from __future__ import annotations
@@ -112,15 +113,11 @@ def _tol_map(pairs) -> dict[str, float]:
 
 
 def _solver_options(args, tols) -> SolverOptions:
-    kwargs = {"seed": args.seed}
+    kwargs = {}
     if "solver" in tols:
         kwargs["tol"] = tols["solver"]
-    if getattr(args, "max_iters", None) is not None:
+    if args.max_iters is not None:
         kwargs["max_iters"] = args.max_iters
-    if getattr(args, "starts", None) is not None:
-        kwargs["starts"] = args.starts
-    if getattr(args, "no_polish", False):
-        kwargs["polish"] = False
     return SolverOptions(**kwargs)
 
 
@@ -188,7 +185,7 @@ def _cmd_scan(args) -> int:
         t_grid=obj.get("t_grid", [0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
         samples=samples,
         seed=args.seed,
-        opts=_solver_options(args, tols) if ("solver" in tols) else None,
+        opts=_solver_options(args, tols),
     )
     _emit(args, scan.to_csv() if args.format == "csv" else scan.to_dict())
     return EXIT_OK
@@ -337,10 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--max-iters", type=int, default=None, dest="max_iters",
                        help="ellipsoid iterations per working-set round (default 1000 + 50 n^2 in dim n)")
-        p.add_argument("--starts", type=int, default=None,
-                       help="accepted and validated; no longer changes results")
-        p.add_argument("--no-polish", action="store_true", dest="no_polish",
-                       help="accepted; no longer changes results")
+        # Retired multi-start knob, parsed and discarded: perfbench's witness warm-up passes it.
+        p.add_argument("--starts", type=int, default=None, help=argparse.SUPPRESS)
 
     common(sub.add_parser("center", help="Chebyshev center of a point-set JSON"))
     common(sub.add_parser("farthest", help="farthest-point query"))

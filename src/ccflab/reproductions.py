@@ -168,7 +168,7 @@ def example_finite_dim(n: int, opts: SolverOptions | None = None) -> ExampleRepo
         )
     )
 
-    s_star, r_star = symmetric_line_minimize(A, z, opts)
+    s_star, r_star = symmetric_line_minimize(A, z)
     s_grid = np.linspace(-2.0, 2.0, 401)
     scan_min = min(
         float(np.max(np.atleast_1d(eval_norm(norm, s * z - pts)))) for s in s_grid

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .norms import as_vector, eval_norm, linf_lower_constant, norm_subgradient
-from .sets import DEFAULT_ACHIEVER_TOL, PointSet, outer_radius
+from .sets import DEFAULT_ACHIEVER_TOL, PointSet
 
 __all__ = [
     "SolverOptions",
@@ -40,13 +40,13 @@ __all__ = [
     "symmetric_line_minimize",
 ]
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
 # A round stops once its certified gap is below this share of max(1, radius).
 _ROUND_RTOL = 1e-12
 # Points farthest from the start that make up the first working set, and the
 # most violators that join it per round, per dimension plus one.
 _CORE_PER_DIM = 4
+# Largest dimension chebyshev_center accepts.
+_DIM_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -56,29 +56,15 @@ class SolverOptions:
     ``max_iters`` bounds the ellipsoid iterations of each working-set round;
     None picks 1000 + 50 n^2 in dimension n, since the iterations a round
     needs grow as n^2.  The result is ``converged`` when its certified gap
-    is at most ``tol * max(1, radius)``.  ``starts``, ``step_schedule``,
-    ``geometric_decay``, ``polish`` and ``seed`` are validated but no longer
-    change the result: the solver is deterministic and has no random starts.
+    is at most ``tol * max(1, radius)``.
     """
 
     max_iters: int | None = None
-    step_schedule: str = "geometric"
-    geometric_decay: float | None = None
-    starts: int = 8
-    seed: int = 0
     tol: float = 1e-6
-    polish: bool = True
-    dim_cap: int = 64
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
-        if self.step_schedule not in ("geometric", "polyak_like"):
-            raise ValueError(f"unknown step schedule {self.step_schedule!r}")
-        if self.geometric_decay is not None and not (0.0 < self.geometric_decay < 1.0):
-            raise ValueError("geometric decay must lie in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +75,7 @@ class CenterResult:
     ``gap`` is a certified upper bound on radius - r(A): radius minus the
     best lower bound on r(A) the ellipsoid cuts proved.  It is tight, at most
     1e-12 * max(1, radius) unless the iteration budget ran out.
-    ``multi_start_spread`` is kept for the JSON schema; the single-path
-    solver always reports 0.0.
+    ``iterations`` counts ellipsoid iterations over all working-set rounds.
     """
 
     center: np.ndarray
@@ -98,7 +83,6 @@ class CenterResult:
     achieving_indices: tuple[int, ...]
     gap: float
     iterations: int
-    multi_start_spread: float
     flags: tuple[str, ...] = ()
 
     @property
@@ -113,7 +97,6 @@ class CenterResult:
             and self.achieving_indices == other.achieving_indices
             and self.gap == other.gap
             and self.iterations == other.iterations
-            and self.multi_start_spread == other.multi_start_spread
             and self.flags == other.flags
         )
 
@@ -124,7 +107,6 @@ class CenterResult:
             "gap": self.gap,
             "achievers": list(self.achieving_indices),
             "iterations": self.iterations,
-            "spread": self.multi_start_spread,
         }
         if self.flags:
             out["flags"] = list(self.flags)
@@ -138,7 +120,6 @@ class CenterResult:
             achieving_indices=tuple(int(i) for i in obj["achievers"]),
             gap=float(obj["gap"]),
             iterations=int(obj["iterations"]),
-            multi_start_spread=float(obj["spread"]),
             flags=tuple(obj.get("flags", ())),
         )
 
@@ -194,8 +175,8 @@ def chebyshev_center(
     ``not_converged`` flag on the result, never by raising.
     """
     opts = opts or SolverOptions()
-    if A.dim > opts.dim_cap:
-        raise ValueError(f"dimension {A.dim} exceeds solver cap {opts.dim_cap}")
+    if A.dim > _DIM_CAP:
+        raise ValueError(f"dimension {A.dim} exceeds solver cap {_DIM_CAP}")
     pts = A.points
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     if A.dim == 1 or np.array_equal(lo, hi):
@@ -232,17 +213,17 @@ def chebyshev_center(
 
 
 def _assemble(A, center, gap_lb, iterations, flags=()) -> CenterResult:
-    radius = outer_radius(A, center)
-    dists = np.atleast_1d(eval_norm(A.norm, center - A.points))
+    center = np.asarray(center, dtype=float)
+    dists = np.atleast_1d(eval_norm(A.norm, A.points - center))
+    radius = float(np.max(dists))  # outer_radius(A, center), bit for bit
     tol = max(DEFAULT_ACHIEVER_TOL, 1e-12 * radius)
     achievers = tuple(int(i) for i in np.flatnonzero(dists >= radius - tol))
     return CenterResult(
-        center=np.asarray(center, dtype=float),
+        center=center,
         radius=radius,
         achieving_indices=achievers,
         gap=max(radius - gap_lb, 0.0),
         iterations=int(iterations),
-        multi_start_spread=0.0,
         flags=flags,
     )
 
@@ -316,74 +297,32 @@ def brute_force_center(
 # --- one-dimensional symmetric-line minimization -----------------------------
 
 
-def _golden_section(f, a: float, b: float, width: float):
-    h = b - a
-    c = b - _GOLDEN * h
-    d = a + _GOLDEN * h
-    fc, fd = f(c), f(d)
-    while h > width:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _GOLDEN * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _GOLDEN * h
-            fd = f(d)
-    return (a + b) / 2.0
-
-
-def _parabolic_refine(f, s: float, h: float):
-    f0, fp, fm = f(s), f(s + h), f(s - h)
-    denom = fp - 2.0 * f0 + fm
-    if denom <= 0.0:
-        return None
-    curv = denom / (h * h)
-    if curv > 1e3 * (1.0 + abs(f0)):
-        return None  # kink, not curvature: a parabola would shift the minimum
-    return s - 0.5 * h * (fp - fm) / denom
-
-
-def symmetric_line_minimize(
-    A: PointSet, direction, opts: SolverOptions | None = None
-) -> tuple[float, float]:
+def symmetric_line_minimize(A: PointSet, direction) -> tuple[float, float]:
     """Minimize s -> r(s * direction, A) over the real line.
 
-    The profile is convex (a max of convex functions of s), hence unimodal, so
-    golden-section search over an automatic bracket applies; a guarded
-    parabolic refinement then pushes smooth minima below the golden-section
-    noise floor.  If the golden result ever disagrees with a coarse dense
-    scan, the scan bracket is retried (defensive fallback; convexity should
-    prevent it).
+    The profile is convex (a max of convex functions of s), so this is the
+    one-dimensional ellipsoid method: bisection on the sign of g . direction,
+    with g a subgradient of the norm at s * direction minus a farthest point.
+    The minimizer has |s| <= 2 max_a ||a|| / ||direction||, so the search
+    starts just beyond that and stops once the bracket is below 1e-13 of it.
+    Returns (s, r(s * direction, A)).
     """
     d = as_vector(direction, A.dim, "direction")
     if not np.any(d):
         raise ValueError("direction must be nonzero")
     dn = float(eval_norm(A.norm, d))
-    pts_norms = np.atleast_1d(eval_norm(A.norm, A.points))
-    reach = (2.0 * float(np.max(pts_norms)) + 1.0) / dn
-
-    def f(s: float) -> float:
-        return float(np.max(np.atleast_1d(eval_norm(A.norm, s * d - A.points))))
-
-    s_star = _golden_section(f, -reach, reach, 1e-11 * max(1.0, reach))
-
-    # Defensive unimodality cross-check against a coarse scan.
-    grid = np.linspace(-reach, reach, 65)
-    vals = [f(s) for s in grid]
-    k = int(np.argmin(vals))
-    if vals[k] < f(s_star) - 1e-9 * (1.0 + abs(vals[k])):
-        a = grid[max(k - 1, 0)]
-        b = grid[min(k + 1, len(grid) - 1)]
-        s_star = _golden_section(f, a, b, 1e-11 * max(1.0, reach))
-
-    # Accept the parabolic vertex only when two step sizes agree: at a kink
-    # the two estimates differ by O(h) and the golden result stands.
-    cand_a = _parabolic_refine(f, s_star, 1e-4)
-    cand_b = _parabolic_refine(f, s_star, 1e-5)
-    if cand_a is not None and cand_b is not None and abs(cand_a - cand_b) <= 1e-8:
-        s_star = cand_b
-
-    return s_star, f(s_star)
+    reach = (2.0 * float(np.max(eval_norm(A.norm, A.points))) + 1.0) / dn
+    lo, hi = -reach, reach
+    while hi - lo > 1e-13 * reach:
+        s = (lo + hi) / 2.0
+        diffs = s * d - A.points
+        i = int(np.argmax(eval_norm(A.norm, diffs)))
+        slope = float(norm_subgradient(A.norm, diffs[i]) @ d)
+        if slope == 0.0:
+            lo = hi = s
+        elif slope > 0.0:
+            hi = s
+        else:
+            lo = s
+    s = (lo + hi) / 2.0
+    return s, float(np.max(eval_norm(A.norm, s * d - A.points)))

@@ -188,7 +188,7 @@ def test_criterion_08_cap_containment_suite():
 
 def test_criterion_09_falsification_harness_p3():
     norm = pnorm(2, 3)
-    opts = SolverOptions(max_iters=500, starts=4, seed=0)
+    opts = SolverOptions(max_iters=500)
     rng = rng_stream(0, "falsification")
     counterexamples = 0
     worst_margin = np.inf

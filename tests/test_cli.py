@@ -107,10 +107,29 @@ class TestExitCodes:
         code, out, _ = run(
             capsys,
             "ccf-verify", "--input", json.dumps(witness),
-            "--max-iters", "2", "--starts", "1", "--no-polish",
+            "--max-iters", "2",
         )
         assert code == 3
         assert json.loads(out)["verdict"] == "indeterminate"
+
+    def test_scan_honours_max_iters(self, capsys):
+        scan_input = {"norm": norm_to_dict(pnorm(2, 2)), "z_count": 1, "t_grid": [0.5], "samples": 400}
+        _, out, _ = run(capsys, "scan", "--input", json.dumps(scan_input))
+        assert json.loads(out)["rows"][0]["flags"] == []
+        code, out, _ = run(capsys, "scan", "--input", json.dumps(scan_input), "--max-iters", "1")
+        assert code == 0
+        assert "solver_not_converged" in json.loads(out)["rows"][0]["flags"]
+
+    def test_retired_starts_flag_parsed_and_ignored(self, capsys):
+        _, plain, _ = run(capsys, "center", "--input", json.dumps(EUCLID_PAIR))
+        code, out, _ = run(capsys, "center", "--input", json.dumps(EUCLID_PAIR), "--starts", "1")
+        assert code == 0
+        assert out == plain
+
+    def test_no_polish_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["center", "--input", json.dumps(EUCLID_PAIR), "--no-polish"])
+        assert exc.value.code == 2
 
 
 class TestArtifacts:
