@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormSpec, as_vector, eval_norm, norm_from_dict, norm_to_dict
+from .codec import Record
+from .norms import NormSpec, as_vector, eval_norm
 from .sampling import rejection_sample_two_balls, rng_stream, sample_unit_vectors
 from .sets import DEFAULT_ACHIEVER_TOL, PointSet, farthest_set, outer_radius
 from .solver import CenterResult, SolverOptions, chebyshev_center
@@ -58,8 +59,10 @@ CCF_SIGNAL_MIN_RATIO = 0.9995
 
 
 @dataclass(frozen=True, eq=False)
-class CcfWitness:
+class CcfWitness(Record):
     """A candidate CCF triple: a set, a claimed center in it, a viewpoint."""
+
+    _keys = ("set", "center_index", "viewpoint", "center_tol", "farthest_tol")
 
     set: PointSet
     center_index: int
@@ -76,28 +79,9 @@ class CcfWitness:
             self, "viewpoint", as_vector(self.viewpoint, self.set.dim, "viewpoint")
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "set": self.set.to_dict(),
-            "center_index": self.center_index,
-            "viewpoint": self.viewpoint.tolist(),
-            "center_tol": self.center_tol,
-            "farthest_tol": self.farthest_tol,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CcfWitness":
-        return cls(
-            set=PointSet.from_dict(obj["set"]),
-            center_index=int(obj["center_index"]),
-            viewpoint=np.asarray(obj["viewpoint"], dtype=float),
-            center_tol=float(obj.get("center_tol", 1e-6)),
-            farthest_tol=float(obj.get("farthest_tol", DEFAULT_ACHIEVER_TOL)),
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class WitnessVerdict:
+class WitnessVerdict(Record):
     """Outcome of witness verification plus the numbers behind it.
 
     ``center_margin`` is chebyshev_radius + tol - outer_radius(A, claimed
@@ -106,6 +90,11 @@ class WitnessVerdict:
     minus the largest rival distance (>= -tol when the farthest check
     passes).
     """
+
+    _keys = (
+        ("verdict", "status"), "chebyshev_radius", "center_outer_radius",
+        "center_margin", "farthest_margin", "solver",
+    )
 
     status: str
     chebyshev_radius: float
@@ -117,38 +106,6 @@ class WitnessVerdict:
     @property
     def confirmed(self) -> bool:
         return self.status == CONFIRMED
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WitnessVerdict)
-            and self.status == other.status
-            and self.chebyshev_radius == other.chebyshev_radius
-            and self.center_outer_radius == other.center_outer_radius
-            and self.center_margin == other.center_margin
-            and self.farthest_margin == other.farthest_margin
-            and self.solver == other.solver
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.status,
-            "chebyshev_radius": self.chebyshev_radius,
-            "center_outer_radius": self.center_outer_radius,
-            "center_margin": self.center_margin,
-            "farthest_margin": self.farthest_margin,
-            "solver": self.solver.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "WitnessVerdict":
-        return cls(
-            status=str(obj["verdict"]),
-            chebyshev_radius=float(obj["chebyshev_radius"]),
-            center_outer_radius=float(obj["center_outer_radius"]),
-            center_margin=float(obj["center_margin"]),
-            farthest_margin=float(obj["farthest_margin"]),
-            solver=CenterResult.from_dict(obj["solver"]),
-        )
 
 
 def verify_ccf_witness(w: CcfWitness, opts: SolverOptions | None = None) -> WitnessVerdict:
@@ -209,8 +166,10 @@ def amplify_witness(A: PointSet, c, z, t: float, tol: float = DEFAULT_ACHIEVER_T
 
 
 @dataclass(frozen=True, eq=False)
-class TwoBallSet:
+class TwoBallSet(Record):
     """The body B[c, r] ∩ B[y, R] with a deterministic rejection sampler."""
+
+    _keys = ("c", "r", "y", "R", "norm", "sampler_seed")
 
     c: np.ndarray
     r: float
@@ -241,16 +200,6 @@ class TwoBallSet:
             self.norm, self.c, self.r, self.y, self.R, proposals, rng
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c.tolist(),
-            "r": self.r,
-            "y": self.y.tolist(),
-            "R": self.R,
-            "norm": norm_to_dict(self.norm),
-            "sampler_seed": self.sampler_seed,
-        }
-
 
 def build_two_ball_set(
     A: PointSet, c, r: float, y, *, tol: float = 1e-9, seed: int = 0
@@ -278,8 +227,8 @@ def build_two_ball_set(
     return TwoBallSet(c=ac, r=float(r), y=ay, R=R, norm=A.norm, sampler_seed=seed)
 
 
-@dataclass(frozen=True)
-class TwoBallReport:
+@dataclass(frozen=True, eq=False)
+class TwoBallReport(Record):
     """Checks (a)-(d) for the two-ball body against its source set.
 
     (a) A sits inside both balls (exact); (b) the Chebyshev radius of a
@@ -287,6 +236,12 @@ class TwoBallReport:
     r(c, sample) <= r exactly; (d) no sampled point is farther than R from y
     (exact by construction of the sampler).
     """
+
+    _keys = (
+        "containment_ok", "sample_radius_ok", "center_radius_ok", "farthest_ok",
+        "sample_radius", "center_sample_radius", "max_sample_dist_to_y",
+        "accepted", "proposals", "all_ok",
+    )
 
     containment_ok: bool
     sample_radius_ok: bool
@@ -306,20 +261,6 @@ class TwoBallReport:
             and self.center_radius_ok
             and self.farthest_ok
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "containment_ok": self.containment_ok,
-            "sample_radius_ok": self.sample_radius_ok,
-            "center_radius_ok": self.center_radius_ok,
-            "farthest_ok": self.farthest_ok,
-            "sample_radius": self.sample_radius,
-            "center_sample_radius": self.center_sample_radius,
-            "max_sample_dist_to_y": self.max_sample_dist_to_y,
-            "accepted": self.accepted,
-            "proposals": self.proposals,
-            "all_ok": self.all_ok,
-        }
 
 
 def check_two_ball_properties(
@@ -366,7 +307,7 @@ def check_two_ball_properties(
 
 
 @dataclass(frozen=True, eq=False)
-class RtzEstimate:
+class RtzEstimate(Record):
     """Sampled lower estimate of r_{t,z}, the Chebyshev radius of B_X ∩ B[z,t].
 
     ``r_hat`` is the solved radius of a finite inner sample: exact for that
@@ -376,6 +317,8 @@ class RtzEstimate:
     ``sample_count`` counts rejection-sampler acceptances; the solve also
     always includes the two deterministic anchor points z and (1-t)z.
     """
+
+    _keys = ("z", "t", "r_hat", "ratio", "sample_count", "proposals", "accept_ratio", "gap", "flags")
 
     z: np.ndarray
     t: float
@@ -392,39 +335,6 @@ class RtzEstimate:
     @property
     def accept_ratio(self) -> float:
         return self.sample_count / self.proposals if self.proposals else 0.0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RtzEstimate)
-            and np.array_equal(self.z, other.z)
-            and (self.t, self.r_hat, self.sample_count, self.proposals, self.gap, self.flags)
-            == (other.t, other.r_hat, other.sample_count, other.proposals, other.gap, other.flags)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "z": np.asarray(self.z).tolist(),
-            "t": self.t,
-            "r_hat": self.r_hat,
-            "ratio": self.ratio,
-            "sample_count": self.sample_count,
-            "proposals": self.proposals,
-            "accept_ratio": self.accept_ratio,
-            "gap": self.gap,
-            "flags": list(self.flags),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RtzEstimate":
-        return cls(
-            z=np.asarray(obj["z"], dtype=float),
-            t=float(obj["t"]),
-            r_hat=float(obj["r_hat"]),
-            sample_count=int(obj["sample_count"]),
-            proposals=int(obj["proposals"]),
-            gap=float(obj["gap"]),
-            flags=tuple(obj.get("flags", ())),
-        )
 
 
 def estimate_r_tz(
@@ -480,7 +390,7 @@ def estimate_r_tz(
 
 
 @dataclass(frozen=True, eq=False)
-class ScanResult:
+class ScanResult(Record):
     """Grid of r_{t,z} estimates over sampled unit directions and a t-grid.
 
     ``verdict`` classifies the evidence: "ccnf-evidence" when the largest
@@ -488,6 +398,11 @@ class ScanResult:
     reaches ``ccf_threshold``, otherwise "inconclusive".  This is sampled
     evidence, not a certificate; density data stays attached to every row.
     """
+
+    _keys = (
+        "norm", "t_grid", "samples", "seed", "rows", "max_ratio", "verdict",
+        "ccnf_threshold", "ccf_threshold",
+    )
 
     norm: NormSpec
     rows: tuple[RtzEstimate, ...]
@@ -531,40 +446,6 @@ class ScanResult:
                 + "\n"
             )
         return buf.getvalue()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ScanResult)
-            and self.norm == other.norm
-            and self.rows == other.rows
-            and (self.t_grid, self.samples, self.seed, self.ccnf_threshold, self.ccf_threshold)
-            == (other.t_grid, other.samples, other.seed, other.ccnf_threshold, other.ccf_threshold)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "norm": norm_to_dict(self.norm),
-            "t_grid": list(self.t_grid),
-            "samples": self.samples,
-            "seed": self.seed,
-            "rows": [row.to_dict() for row in self.rows],
-            "max_ratio": self.max_ratio,
-            "verdict": self.verdict,
-            "ccnf_threshold": self.ccnf_threshold,
-            "ccf_threshold": self.ccf_threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ScanResult":
-        return cls(
-            norm=norm_from_dict(obj["norm"]),
-            rows=tuple(RtzEstimate.from_dict(r) for r in obj["rows"]),
-            t_grid=tuple(float(t) for t in obj["t_grid"]),
-            samples=int(obj["samples"]),
-            seed=int(obj["seed"]),
-            ccnf_threshold=float(obj["ccnf_threshold"]),
-            ccf_threshold=float(obj["ccf_threshold"]),
-        )
 
 
 def ccnf_scan(

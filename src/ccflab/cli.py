@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,7 @@ from .ccf import (
     ccnf_scan,
     verify_ccf_witness,
 )
+from .codec import json_text, write_text
 from .norms import norm_from_dict, pnorm
 from .reproductions import (
     ExampleReport,
@@ -70,31 +70,20 @@ def _load_input(raw: str):
             raise InputError(f"input file not found: {raw}")
         text, origin = path.read_text(), raw
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(
             f"malformed JSON in {origin}: line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
-
-
-def _write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    if not isinstance(obj, dict):
+        raise InputError(f"input in {origin} must be a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _emit(args, payload: dict | str) -> None:
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
+    text = payload if isinstance(payload, str) else json_text(payload)
     if args.output:
-        _write_text(args.output, text)
+        write_text(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -155,16 +144,9 @@ def _cmd_farthest(args) -> int:
 def _cmd_ccf_verify(args) -> int:
     _require_json_format(args)
     tols = _tol_map(args.tol)
-    obj = _load_input(args.input)
-    if "set" not in obj:
-        raise InputError('ccf-verify input needs {"set": ..., "center_index": i, "viewpoint": [...]}')
-    witness = CcfWitness(
-        set=PointSet.from_dict(obj["set"]),
-        center_index=int(obj["center_index"]),
-        viewpoint=np.asarray(obj["viewpoint"], dtype=float),
-        center_tol=tols.get("center", float(obj.get("center_tol", 1e-6))),
-        farthest_tol=tols.get("farthest", float(obj.get("farthest_tol", 1e-9))),
-    )
+    witness = CcfWitness.from_dict(_load_input(args.input))
+    overrides = {f"{k}_tol": tols[k] for k in ("center", "farthest") if k in tols}
+    witness = replace(witness, **overrides)
     verdict = verify_ccf_witness(witness, _solver_options(args, tols))
     _emit(args, verdict.to_dict())
     if verdict.status == INDETERMINATE:
@@ -211,7 +193,7 @@ def _cmd_cap_check(args) -> int:
     return EXIT_OK if excess <= tol else EXIT_VERDICT
 
 
-def _sp_grid_report(seed: int) -> ExampleReport:
+def _sp_grid_report() -> ExampleReport:
     ps = np.exp(np.linspace(np.log(1.1), np.log(10.0), 13))
     worst = 0.0
     for p in ps:
@@ -249,7 +231,7 @@ def reproduce_all(
     t_grid = list(scan_t_grid) if scan_t_grid is not None else [0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
     reports = [example_finite_dim(n) for n in (3, 4, 5)]
     reports.append(example_c0_truncated(10))
-    reports.append(_sp_grid_report(seed))
+    reports.append(_sp_grid_report())
     for p in (1.5, 3.0, 4.0):
         reports.append(ap_ccf_check(p, 100.0))
     reports.append(embed_lp3(WeightedLpSpace(3.0, (2.0, 0.5, 1.0, 3.0)), (0, 1, 2), seed=seed))
@@ -276,11 +258,11 @@ def reproduce_all(
         out_dir = Path(out_dir)
         write_reports(reports, out_dir / "reports")
         for entry in scans:
-            _write_text(out_dir / f"scan_{entry['label']}.csv", entry["scan"].to_csv())
-        _write_text(out_dir / "summary.md", summary)
+            write_text(out_dir / f"scan_{entry['label']}.csv", entry["scan"].to_csv())
+        write_text(out_dir / "summary.md", summary)
 
     scan_dicts = [
-        {"label": e["label"], **{k: e["scan"].to_dict()[k] for k in ("max_ratio", "verdict")}}
+        {"label": e["label"], "max_ratio": e["scan"].max_ratio, "verdict": e["scan"].verdict}
         for e in scans
     ]
     return reports, scan_dicts, summary
@@ -303,7 +285,7 @@ def _cmd_reproduce(args) -> int:
     elif target == "c0":
         report = example_c0_truncated(args.trunc, opts)
     elif target == "sp-grid":
-        report = _sp_grid_report(args.seed)
+        report = _sp_grid_report()
     elif target == "ap-witness":
         report = ap_ccf_check(args.p if args.p is not None else 1.5, args.t, opts)
     elif target == "embedding":

@@ -23,13 +23,13 @@ The benchmark families:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .ccf import CcfWitness, verify_ccf_witness
+from .codec import Record, json_text, write_text
 from .norms import NormSpec, eval_norm, pnorm, sum_composite, sup_plus_weighted_l2, weighted_pnorm
 from .sampling import rng_stream
 from .sets import PointSet, diameter, farthest_set, outer_radius
@@ -49,51 +49,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Check:
+@dataclass(frozen=True, eq=False)
+class Check(Record):
+    _keys = ("description", "expected", "observed", "passed")
+
     description: str
     expected: str
     observed: str
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "expected": self.expected,
-            "observed": self.observed,
-            "passed": self.passed,
-        }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Check":
-        return cls(obj["description"], obj["expected"], obj["observed"], bool(obj["passed"]))
-
-
-@dataclass(frozen=True)
-class ExampleReport:
+@dataclass(frozen=True, eq=False)
+class ExampleReport(Record):
     """A named reproduction run: parameters, per-check outcomes, overall flag."""
+
+    _keys = ("name", "parameters", "checks", "overall")
 
     name: str
     parameters: dict
     checks: tuple[Check, ...]
     overall: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "checks": [c.to_dict() for c in self.checks],
-            "overall": self.overall,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ExampleReport":
-        return cls(
-            name=obj["name"],
-            parameters=dict(obj["parameters"]),
-            checks=tuple(Check.from_dict(c) for c in obj["checks"]),
-            overall=bool(obj["overall"]),
-        )
 
 
 def _report(name: str, parameters: dict, checks: list[Check]) -> ExampleReport:
@@ -508,8 +483,6 @@ def write_reports(reports, directory) -> list[Path]:
     paths = []
     for i, rep in enumerate(reports):
         path = out_dir / f"{i:02d}_{rep.name}.json"
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(rep.to_dict(), indent=2) + "\n")
-        tmp.replace(path)
+        write_text(path, json_text(rep.to_dict()))
         paths.append(path)
     return paths

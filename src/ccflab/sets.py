@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormSpec, _as_batch, as_vector, eval_norm, norm_from_dict, norm_to_dict
+from .codec import Record
+from .norms import NormSpec, _as_batch, as_vector, eval_norm
 
 __all__ = [
     "DEFAULT_ACHIEVER_TOL",
@@ -31,13 +32,15 @@ DEFAULT_ACHIEVER_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class PointSet:
+class PointSet(Record):
     """A nonempty, ordered, finite list of points with its ambient norm.
 
     Duplicate points are permitted and order is preserved; nontriviality
     (at least two *distinct* points) is exposed as a predicate rather than
     enforced, to keep ingestion forgiving.
     """
+
+    _keys = ("norm", "points")
 
     norm: NormSpec
     points: np.ndarray
@@ -59,13 +62,6 @@ class PointSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PointSet)
-            and self.norm == other.norm
-            and np.array_equal(self.points, other.points)
-        )
-
     @property
     def dim(self) -> int:
         return self.norm.dim
@@ -75,54 +71,21 @@ class PointSet:
         """True iff the set has at least two distinct points."""
         return len(np.unique(self.points, axis=0)) >= 2
 
-    def to_dict(self) -> dict:
-        return {"norm": norm_to_dict(self.norm), "points": self.points.tolist()}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PointSet":
-        if not isinstance(obj, dict) or "norm" not in obj or "points" not in obj:
-            raise ValueError(f"malformed point-set object: {obj!r}")
-        return cls(norm_from_dict(obj["norm"]), np.asarray(obj["points"], dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
-class FarthestQuery:
+class FarthestQuery(Record):
     """Result of a farthest-point query from a viewpoint.
 
     ``achievers`` indexes every point whose distance is within ``tolerance``
     of ``radius``; for a finite set it is never empty.
     """
 
+    _keys = ("viewpoint", "radius", "achievers", "tolerance")
+
     viewpoint: np.ndarray
     radius: float
     achievers: tuple[int, ...]
     tolerance: float
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FarthestQuery)
-            and np.array_equal(self.viewpoint, other.viewpoint)
-            and self.radius == other.radius
-            and self.achievers == other.achievers
-            and self.tolerance == other.tolerance
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "viewpoint": np.asarray(self.viewpoint).tolist(),
-            "radius": self.radius,
-            "achievers": list(self.achievers),
-            "tolerance": self.tolerance,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FarthestQuery":
-        return cls(
-            viewpoint=np.asarray(obj["viewpoint"], dtype=float),
-            radius=float(obj["radius"]),
-            achievers=tuple(int(i) for i in obj["achievers"]),
-            tolerance=float(obj["tolerance"]),
-        )
 
 
 def _distances_from(A: PointSet, x: np.ndarray) -> np.ndarray:

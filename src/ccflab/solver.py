@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .codec import Record
 from .norms import as_vector, eval_norm, linf_lower_constant, norm_subgradient
 from .sets import DEFAULT_ACHIEVER_TOL, PointSet
 
@@ -68,7 +69,7 @@ class SolverOptions:
 
 
 @dataclass(frozen=True, eq=False)
-class CenterResult:
+class CenterResult(Record):
     """A center estimate with certificate data.
 
     ``radius`` is always the exact outer radius of the set at ``center``.
@@ -77,6 +78,8 @@ class CenterResult:
     1e-12 * max(1, radius) unless the iteration budget ran out.
     ``iterations`` counts ellipsoid iterations over all working-set rounds.
     """
+
+    _keys = ("center", "radius", "gap", ("achievers", "achieving_indices"), "iterations", "flags")
 
     center: np.ndarray
     radius: float
@@ -89,39 +92,12 @@ class CenterResult:
     def converged(self) -> bool:
         return "not_converged" not in self.flags
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CenterResult)
-            and np.array_equal(self.center, other.center)
-            and self.radius == other.radius
-            and self.achieving_indices == other.achieving_indices
-            and self.gap == other.gap
-            and self.iterations == other.iterations
-            and self.flags == other.flags
-        )
-
     def to_dict(self) -> dict:
-        out = {
-            "center": np.asarray(self.center).tolist(),
-            "radius": self.radius,
-            "gap": self.gap,
-            "achievers": list(self.achieving_indices),
-            "iterations": self.iterations,
-        }
-        if self.flags:
-            out["flags"] = list(self.flags)
+        # center JSON omits an empty flags list (RtzEstimate rows always write theirs).
+        out = super().to_dict()
+        if not self.flags:
+            del out["flags"]
         return out
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CenterResult":
-        return cls(
-            center=np.asarray(obj["center"], dtype=float),
-            radius=float(obj["radius"]),
-            achieving_indices=tuple(int(i) for i in obj["achievers"]),
-            gap=float(obj["gap"]),
-            iterations=int(obj["iterations"]),
-            flags=tuple(obj.get("flags", ())),
-        )
 
 
 def _ellipsoid_round(A: PointSet, W: np.ndarray, x0: np.ndarray, max_iters: int):

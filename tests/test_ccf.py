@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ccflab import (
     RtzEstimate,
     ScanResult,
     SolverOptions,
+    TwoBallReport,
     TwoBallSet,
     WitnessVerdict,
     amplify_witness,
@@ -71,8 +74,10 @@ class TestVerifyWitness:
             verify_ccf_witness(CcfWitness(A, 0, [0.0, 0.0]))
 
     def test_verdict_json_round_trip(self):
-        verdict = verify_ccf_witness(CcfWitness(l1_segment_witness_set(), 2, [0.0, 0.0]))
+        witness = CcfWitness(l1_segment_witness_set(), 2, [0.0, 0.0], center_tol=1e-5)
+        verdict = verify_ccf_witness(witness)
         assert WitnessVerdict.from_dict(verdict.to_dict()) == verdict
+        assert CcfWitness.from_dict(json.loads(json.dumps(witness.to_dict()))) == witness
 
 
 class TestAmplifyWitness:
@@ -139,6 +144,8 @@ class TestTwoBallSet:
         assert report.sample_radius <= 1.0 + 1e-9
         assert report.center_sample_radius <= 1.0
         assert report.max_sample_dist_to_y <= U.R
+        assert TwoBallSet.from_dict(json.loads(json.dumps(U.to_dict()))) == U
+        assert TwoBallReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
 
     def test_degenerate_singleton(self):
         A = PointSet(pnorm(2, 2), [[0.3, 0.3]])

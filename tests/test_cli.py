@@ -95,6 +95,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "center", "--input", "/nonexistent/input.json")
         assert code == 2
 
+    @pytest.mark.parametrize("missing", ["center_index", "viewpoint"])
+    def test_witness_missing_key_exit_two(self, capsys, missing):
+        witness = {k: v for k, v in L1_WITNESS.items() if k != missing}
+        code, _, err = run(capsys, "ccf-verify", "--input", json.dumps(witness))
+        assert code == 2
+        assert repr(missing) in err
+
+    @pytest.mark.parametrize("command", ["farthest", "scan"])
+    def test_non_object_input_exit_two(self, tmp_path, capsys, command):
+        in_file = tmp_path / "five.json"
+        in_file.write_text("5")
+        code, _, err = run(capsys, command, "--input", str(in_file))
+        assert code == 2
+        assert "JSON object" in err
+
     def test_indeterminate_exit_three(self, capsys):
         witness = {
             "set": {

@@ -68,6 +68,10 @@ class TestPointSet:
         A = truncated_seq_set(4)
         assert PointSet.from_dict(A.to_dict()) == A
 
+    def test_from_dict_names_missing_key(self):
+        with pytest.raises(ValueError, match="missing key 'points'"):
+            PointSet.from_dict({"norm": {"dim": 2, "family": {"pnorm": 2}}})
+
 
 class TestOuterRadius:
     def test_basis_set_from_origin(self):
