@@ -124,7 +124,7 @@ def verify_ccf_witness(w: CcfWitness, opts: SolverOptions | None = None) -> Witn
     r_claimed = outer_radius(A, claimed)
     center_margin = solved.radius + w.center_tol - r_claimed
 
-    dists = np.atleast_1d(eval_norm(A.norm, A.points - w.viewpoint))
+    dists = eval_norm(A.norm, A.points - w.viewpoint)
     d_claimed = float(dists[w.center_index])
     rivals = np.delete(dists, w.center_index)
     far_margin = d_claimed - (float(np.max(rivals)) if rivals.size else 0.0)
@@ -158,7 +158,7 @@ def amplify_witness(A: PointSet, c, z, t: float, tol: float = DEFAULT_ACHIEVER_T
         raise ValueError(f"amplification factor must be >= 1, got {t}")
     ac = as_vector(c, A.dim, "c")
     az = as_vector(z, A.dim, "z")
-    dists = np.atleast_1d(eval_norm(A.norm, A.points - az))
+    dists = eval_norm(A.norm, A.points - az)
     d_c = float(eval_norm(A.norm, ac - az))
     if d_c < float(np.max(dists)) - tol:
         raise ValueError("precondition violated: c is not farthest in A from z")
@@ -218,7 +218,7 @@ def build_two_ball_set(
             f"rejected: r = {r} exceeds R = ||c - y|| = {R}; "
             "the claimed center cannot be farthest from y"
         )
-    dists = np.atleast_1d(eval_norm(A.norm, A.points - ay))
+    dists = eval_norm(A.norm, A.points - ay)
     if R < float(np.max(dists)) - tol:
         raise ValueError(
             "rejected: some point of A is farther from y than c is "
@@ -271,8 +271,8 @@ def check_two_ball_properties(
     tol: float = 1e-9,
 ) -> TwoBallReport:
     """Exercise the two-ball body's containment and radius properties."""
-    d_c = np.atleast_1d(eval_norm(A.norm, A.points - U.c))
-    d_y = np.atleast_1d(eval_norm(A.norm, A.points - U.y))
+    d_c = eval_norm(A.norm, A.points - U.c)
+    d_y = eval_norm(A.norm, A.points - U.y)
     containment = bool(np.all(d_c <= U.r + tol) and np.all(d_y <= U.R + tol))
 
     pts, accepted, proposed = U.sample(samples)
@@ -292,7 +292,7 @@ def check_two_ball_properties(
     sample_set = PointSet(A.norm, pts)
     solved = chebyshev_center(sample_set, opts, extra_starts=[U.c])
     r_c_sample = outer_radius(sample_set, U.c)
-    max_to_y = float(np.max(np.atleast_1d(eval_norm(A.norm, pts - U.y))))
+    max_to_y = float(np.max(eval_norm(A.norm, pts - U.y)))
     return TwoBallReport(
         containment_ok=containment,
         sample_radius_ok=bool(solved.radius <= U.r + tol),
@@ -526,7 +526,7 @@ def cap_containment_check(norm: NormSpec, u, v, samples: int = 256) -> float:
     def arc_points(start, sweep, count):
         angles = start + sweep * np.linspace(0.0, 1.0, count)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        lens = np.atleast_1d(eval_norm(norm, dirs))
+        lens = eval_norm(norm, dirs)
         return dirs / lens[:, None]
 
     # The chord splits the sphere into two arcs; pick the one on the far side
@@ -543,5 +543,5 @@ def cap_containment_check(norm: NormSpec, u, v, samples: int = 256) -> float:
         cand = arc_points(phi_u, delta - 2.0 * np.pi, max(samples, 3))
         if not far_side(cand):
             raise ValueError("could not identify the far-side cap arc")
-    dists = np.atleast_1d(eval_norm(norm, cand - w))
+    dists = eval_norm(norm, cand - w)
     return float(np.max(dists) - r)

@@ -1,19 +1,31 @@
 """Command-line front end.
 
-Subcommands ingest norm/set JSON, run the solver / ccf machinery, and emit
-JSON or CSV artifacts.  Exit codes separate mathematical verdicts from
-operational errors:
+Each subcommand reads one JSON object (``--input``: a path, or inline JSON
+starting with ``{``), decodes it with :mod:`ccflab.codec` into a record, runs
+the solver / ccf machinery, and emits JSON (CSV for ``scan --format csv``).
+Exit codes separate mathematical verdicts from operational errors:
 
 * 0: success / verdict positive
 * 1: verdict negative (e.g. a witness was not confirmed, a reproduction
   check failed)
-* 2: input error (malformed JSON, unknown norm family, bad arguments)
+* 2: input error (malformed JSON, a missing key or a value of the wrong
+  type, which the error names; unknown norm family, bad arguments)
 * 3: solver indeterminate (non-convergence)
 
 Outputs are deterministic for a fixed seed and are written atomically
-(temp file + rename); inputs are never modified.  Every solve takes the same
-two solver settings: ``--max-iters`` (ellipsoid iterations per working-set
-round) and ``--tol solver=`` (the certified gap that counts as converged).
+(temp file + rename); inputs are never modified.  Each subcommand takes only
+the flags it reads:
+
+* all: ``--output`` and ``--seed`` (seeds sampling; commands that draw none
+  ignore it), and ``--input`` except ``reproduce``;
+* the commands that solve (``center``, ``ccf-verify``, ``scan``,
+  ``reproduce``): ``--max-iters`` (ellipsoid iterations per working-set
+  round) and ``--tol solver=`` (the certified gap that counts as converged);
+* ``cap-check``: ``--tol cap=`` (the excess that counts as contained);
+* ``scan``: ``--format json|csv``; ``reproduce``: ``--n``, ``--trunc``,
+  ``--p``, ``--t`` and ``--weights``.
+
+Every other tolerance and sample count is a field of the input JSON.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +45,8 @@ from .ccf import (
     ccnf_scan,
     verify_ccf_witness,
 )
-from .codec import json_text, write_text
-from .norms import norm_from_dict, pnorm
+from .codec import Record, json_text, write_text
+from .norms import NormSpec, pnorm
 from .reproductions import (
     ExampleReport,
     WeightedLpSpace,
@@ -47,7 +59,7 @@ from .reproductions import (
     write_reports,
     Check,
 )
-from .sets import PointSet, farthest_set
+from .sets import DEFAULT_ACHIEVER_TOL, PointSet, farthest_set
 from .solver import SolverOptions, chebyshev_center, symmetric_line_minimize
 
 EXIT_OK = 0
@@ -88,66 +100,60 @@ def _emit(args, payload: dict | str) -> None:
         sys.stdout.write(text)
 
 
-def _tol_map(pairs) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise InputError(f"--tol expects name=value, got {item!r}")
-        name, _, value = item.partition("=")
-        try:
-            out[name.strip()] = float(value)
-        except ValueError as e:
-            raise InputError(f"--tol {name}: not a number: {value!r}") from e
-    return out
+def _solver_options(args) -> SolverOptions:
+    return SolverOptions(args.max_iters, args.tol)
 
 
-def _solver_options(args, tols) -> SolverOptions:
-    kwargs = {}
-    if "solver" in tols:
-        kwargs["tol"] = tols["solver"]
-    if args.max_iters is not None:
-        kwargs["max_iters"] = args.max_iters
-    return SolverOptions(**kwargs)
+# --- the input object of each subcommand, decoded by ccflab.codec ------------
+
+
+@dataclass(frozen=True, eq=False)
+class FarthestInput(Record):
+    _keys = ("set", "viewpoint", "tol")
+
+    set: PointSet
+    viewpoint: np.ndarray
+    tol: float = DEFAULT_ACHIEVER_TOL
+
+
+@dataclass(frozen=True, eq=False)
+class ScanInput(Record):
+    _keys = ("norm", "z_count", "t_grid", "samples")
+
+    norm: NormSpec
+    z_count: int = 16
+    t_grid: tuple[float, ...] = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+    samples: int = 4000
+
+
+@dataclass(frozen=True, eq=False)
+class CapInput(Record):
+    _keys = ("norm", "u", "v", "samples")
+
+    norm: NormSpec
+    u: np.ndarray
+    v: np.ndarray
+    samples: int = 256
 
 
 # --- subcommand handlers -----------------------------------------------------
 
 
-def _require_json_format(args) -> None:
-    if args.format != "json":
-        raise InputError(f"{args.command} emits JSON only; csv applies to scan")
-
-
 def _cmd_center(args) -> int:
-    _require_json_format(args)
-    tols = _tol_map(args.tol)
-    obj = _load_input(args.input)
-    A = PointSet.from_dict(obj)
-    result = chebyshev_center(A, _solver_options(args, tols))
+    result = chebyshev_center(PointSet.from_dict(_load_input(args.input)), _solver_options(args))
     _emit(args, result.to_dict())
-    return EXIT_INDETERMINATE if not result.converged else EXIT_OK
+    return EXIT_OK if result.converged else EXIT_INDETERMINATE
 
 
 def _cmd_farthest(args) -> int:
-    _require_json_format(args)
-    tols = _tol_map(args.tol)
-    obj = _load_input(args.input)
-    if "set" not in obj or "viewpoint" not in obj:
-        raise InputError('farthest input needs {"set": ..., "viewpoint": [...]}')
-    A = PointSet.from_dict(obj["set"])
-    tol = tols.get("achiever", float(obj.get("tol", 1e-9)))
-    fq = farthest_set(A, np.asarray(obj["viewpoint"], dtype=float), tol)
-    _emit(args, fq.to_dict())
+    query = FarthestInput.from_dict(_load_input(args.input))
+    _emit(args, farthest_set(query.set, query.viewpoint, query.tol).to_dict())
     return EXIT_OK
 
 
 def _cmd_ccf_verify(args) -> int:
-    _require_json_format(args)
-    tols = _tol_map(args.tol)
     witness = CcfWitness.from_dict(_load_input(args.input))
-    overrides = {f"{k}_tol": tols[k] for k in ("center", "farthest") if k in tols}
-    witness = replace(witness, **overrides)
-    verdict = verify_ccf_witness(witness, _solver_options(args, tols))
+    verdict = verify_ccf_witness(witness, _solver_options(args))
     _emit(args, verdict.to_dict())
     if verdict.status == INDETERMINATE:
         return EXIT_INDETERMINATE
@@ -155,42 +161,18 @@ def _cmd_ccf_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    tols = _tol_map(args.tol)
-    obj = _load_input(args.input)
-    if "norm" not in obj:
-        raise InputError('scan input needs {"norm": ..., "z_count": n, "t_grid": [...]}')
-    norm = norm_from_dict(obj["norm"])
-    samples = args.samples or int(obj.get("samples", 4000))
-    scan = ccnf_scan(
-        norm,
-        z_count=int(obj.get("z_count", 16)),
-        t_grid=obj.get("t_grid", [0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
-        samples=samples,
-        seed=args.seed,
-        opts=_solver_options(args, tols),
-    )
+    inp = ScanInput.from_dict(_load_input(args.input))
+    scan = ccnf_scan(inp.norm, inp.z_count, inp.t_grid, inp.samples, args.seed, _solver_options(args))
     _emit(args, scan.to_csv() if args.format == "csv" else scan.to_dict())
     return EXIT_OK
 
 
 def _cmd_cap_check(args) -> int:
-    _require_json_format(args)
-    tols = _tol_map(args.tol)
-    obj = _load_input(args.input)
-    for key in ("norm", "u", "v"):
-        if key not in obj:
-            raise InputError('cap-check input needs {"norm": ..., "u": [...], "v": [...]}')
-    norm = norm_from_dict(obj["norm"])
-    samples = args.samples or int(obj.get("samples", 256))
-    excess = cap_containment_check(
-        norm,
-        np.asarray(obj["u"], dtype=float),
-        np.asarray(obj["v"], dtype=float),
-        samples,
-    )
-    tol = tols.get("cap", 1e-9)
-    _emit(args, {"excess": excess, "tolerance": tol, "contained": excess <= tol})
-    return EXIT_OK if excess <= tol else EXIT_VERDICT
+    inp = CapInput.from_dict(_load_input(args.input))
+    excess = cap_containment_check(inp.norm, inp.u, inp.v, inp.samples)
+    contained = excess <= args.tol
+    _emit(args, {"excess": excess, "tolerance": args.tol, "contained": contained})
+    return EXIT_OK if contained else EXIT_VERDICT
 
 
 def _sp_grid_report() -> ExampleReport:
@@ -220,25 +202,26 @@ def reproduce_all(
     scan_samples: int = 20000,
     scan_z_count: int = 12,
     scan_t_grid=None,
+    opts: SolverOptions | None = None,
 ) -> tuple[list[ExampleReport], list[dict], str]:
     """Run the full reproduction battery and the three reference scans.
 
     Returns (reports, scan summaries, markdown table).  When ``out_dir`` is
     given, JSON reports, scan CSVs, and the summary table are written there.
     Pass/fail outcomes are stable across seeds; only sampling coordinates
-    move.
+    move.  ``opts`` is passed to every solve.
     """
-    t_grid = list(scan_t_grid) if scan_t_grid is not None else [0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
-    reports = [example_finite_dim(n) for n in (3, 4, 5)]
-    reports.append(example_c0_truncated(10))
+    t_grid = tuple(ScanInput.t_grid if scan_t_grid is None else scan_t_grid)
+    reports = [example_finite_dim(n, opts) for n in (3, 4, 5)]
+    reports.append(example_c0_truncated(10, opts))
     reports.append(_sp_grid_report())
     for p in (1.5, 3.0, 4.0):
-        reports.append(ap_ccf_check(p, 100.0))
-    reports.append(embed_lp3(WeightedLpSpace(3.0, (2.0, 0.5, 1.0, 3.0)), (0, 1, 2), seed=seed))
+        reports.append(ap_ccf_check(p, 100.0, opts))
+    reports.append(embed_lp3(WeightedLpSpace(3.0, (2.0, 0.5, 1.0, 3.0)), (0, 1, 2), seed=seed, opts=opts))
 
     scans = []
     for label, p in (("l2", 2.0), ("l3", 3.0), ("l1", 1.0)):
-        scan = ccnf_scan(pnorm(2, p), scan_z_count, t_grid, scan_samples, seed=seed)
+        scan = ccnf_scan(pnorm(2, p), scan_z_count, t_grid, scan_samples, seed=seed, opts=opts)
         scans.append({"label": label, "scan": scan})
 
     lines = [summary_markdown(reports)]
@@ -269,12 +252,10 @@ def reproduce_all(
 
 
 def _cmd_reproduce(args) -> int:
-    _require_json_format(args)
-    tols = _tol_map(args.tol)
-    opts = _solver_options(args, tols)
+    opts = _solver_options(args)
     target = args.target
     if target == "all":
-        reports, scans, summary = reproduce_all(seed=args.seed, out_dir=args.output)
+        reports, _, summary = reproduce_all(seed=args.seed, out_dir=args.output, opts=opts)
         if not args.output:
             sys.stdout.write(summary)
         ok = all(r.overall for r in reports)
@@ -298,6 +279,21 @@ def _cmd_reproduce(args) -> int:
     return EXIT_OK if report.overall else EXIT_VERDICT
 
 
+def _tol_arg(name: str):
+    """argparse type of ``--tol name=VALUE``: each command takes one tolerance."""
+
+    def parse(text: str) -> float:
+        key, sep, value = text.partition("=")
+        if not sep or key.strip() != name:
+            raise argparse.ArgumentTypeError(f"expected {name}=VALUE, got {text!r}")
+        try:
+            return float(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name}: not a number: {value!r}") from None
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccflab",
@@ -305,27 +301,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
+    def command(name, run, summary, *, solves=False, tol=None, takes_input=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        if takes_input:
             p.add_argument("--input", required=True, help="path to JSON input, or inline JSON")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="tolerance override (solver=, center=, farthest=, achiever=, cap=)")
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--max-iters", type=int, default=None, dest="max_iters",
-                       help="ellipsoid iterations per working-set round (default 1000 + 50 n^2 in dim n)")
-        # Retired multi-start knob, parsed and discarded: perfbench's witness warm-up passes it.
-        p.add_argument("--starts", type=int, default=None, help=argparse.SUPPRESS)
+        p.add_argument("--seed", type=int, default=0, help="seeds sampling (commands that draw none ignore it)")
+        if solves:
+            p.add_argument("--max-iters", type=int, default=None,
+                           help="ellipsoid iterations per working-set round (default 1000 + 50 n^2 in dim n)")
+            tol = ("solver", SolverOptions.tol)
+        if tol is not None:
+            tol_name, default = tol
+            p.add_argument("--tol", type=_tol_arg(tol_name), default=default, metavar=f"{tol_name}=VALUE",
+                           help=f"tolerance (default {default:g})")
+        return p
 
-    common(sub.add_parser("center", help="Chebyshev center of a point-set JSON"))
-    common(sub.add_parser("farthest", help="farthest-point query"))
-    common(sub.add_parser("ccf-verify", help="verify a CCF witness"))
-    common(sub.add_parser("scan", help="r_{t,z} scan over unit directions and a t-grid"))
-    common(sub.add_parser("cap-check", help="planar cap containment check"))
+    center = command("center", _cmd_center, "Chebyshev center of a point-set JSON", solves=True)
+    # Retired multi-start knob, parsed and discarded: perfbench's witness warm-up passes it.
+    center.add_argument("--starts", type=int, default=None, help=argparse.SUPPRESS)
+    command("farthest", _cmd_farthest, "farthest-point query")
+    command("ccf-verify", _cmd_ccf_verify, "verify a CCF witness", solves=True)
+    scan = command("scan", _cmd_scan, "r_{t,z} scan over unit directions and a t-grid", solves=True)
+    scan.add_argument("--format", choices=("json", "csv"), default="json")
+    command("cap-check", _cmd_cap_check, "planar cap containment check", tol=("cap", 1e-9))
 
-    rep = sub.add_parser("reproduce", help="run a benchmark reproduction")
+    rep = command("reproduce", _cmd_reproduce, "run a benchmark reproduction", solves=True, takes_input=False)
     rep.add_argument("target", choices=("finite-dim", "c0", "sp-grid", "ap-witness", "embedding", "all"))
     rep.add_argument("--n", type=int, default=3, help="dimension for finite-dim")
     rep.add_argument("--trunc", type=int, default=10, help="truncation size for c0")
@@ -333,24 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="exponent (ap-witness default 1.5, embedding default 3.0)")
     rep.add_argument("--t", type=float, default=100.0)
     rep.add_argument("--weights", default=None, help="comma-separated atom weights for embedding")
-    common(rep, needs_input=False)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "center": _cmd_center,
-        "farthest": _cmd_farthest,
-        "ccf-verify": _cmd_ccf_verify,
-        "scan": _cmd_scan,
-        "cap-check": _cmd_cap_check,
-        "reproduce": _cmd_reproduce,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (InputError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INPUT

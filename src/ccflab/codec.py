@@ -6,8 +6,9 @@ JSON keys, in order, in ``_keys``.  A key names the attribute it holds; a
 dataclass field is a derived property: it is written, and ignored when read
 back.  Values are encoded by type (arrays and tuples become lists, nested
 records recurse, norms go through :func:`norm_to_dict`) and decoded by each
-field's type annotation.  Decoding names a missing required key and ignores
-unknown keys, so payloads that carry retired keys still load.
+field's type annotation.  Decoding names a missing required key, and the key
+of a value that does not decode, and ignores unknown keys, so payloads that
+carry retired keys still load.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class Record:
                 continue
             try:
                 kwargs[attr] = decode(obj[key])
-            except TypeError as e:
+            except (TypeError, ValueError) as e:
                 raise ValueError(f"{cls.__name__} key {key!r}: {e}") from e
         return cls(**kwargs)
 

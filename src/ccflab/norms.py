@@ -378,6 +378,9 @@ def _family_from_dict(obj, dim: int) -> Family:
     if tag == "sup_plus_wl2":
         return SupPlusWeightedL2(tuple(float(v) for v in payload))
     if tag == "wlp":
+        for key in ("p", "weights"):
+            if not isinstance(payload, dict) or key not in payload:
+                raise ValueError(f"wlp norm family is missing key {key!r}")
         return WeightedPNorm(
             float(payload["p"]), tuple(float(v) for v in payload["weights"])
         )

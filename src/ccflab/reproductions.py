@@ -111,7 +111,7 @@ def example_finite_dim(n: int, opts: SolverOptions | None = None) -> ExampleRepo
     z = np.ones(n)
     checks: list[Check] = []
 
-    d_basis = np.atleast_1d(eval_norm(norm, z - np.eye(n)))
+    d_basis = eval_norm(norm, z - np.eye(n))
     want_basis = (n - 1) + np.sqrt(n - 1) / 2.0
     checks.append(
         _check(
@@ -145,9 +145,7 @@ def example_finite_dim(n: int, opts: SolverOptions | None = None) -> ExampleRepo
 
     s_star, r_star = symmetric_line_minimize(A, z)
     s_grid = np.linspace(-2.0, 2.0, 401)
-    scan_min = min(
-        float(np.max(np.atleast_1d(eval_norm(norm, s * z - pts)))) for s in s_grid
-    )
+    scan_min = min(float(np.max(eval_norm(norm, s * z - pts))) for s in s_grid)
     line_ok = abs(s_star) <= 1e-6 and scan_min >= 1.5 - 1e-12
     checks.append(
         _check(
@@ -203,7 +201,7 @@ def example_c0_truncated(N: int, opts: SolverOptions | None = None) -> ExampleRe
     A = PointSet(norm, np.vstack(pts))
     checks: list[Check] = []
 
-    norms_obs = np.atleast_1d(eval_norm(norm, A.points[1:]))
+    norms_obs = eval_norm(norm, A.points[1:])
     want = (1.0 - 1.0 / ns) + np.sqrt(
         1.0 / (4.0 * ns**2) + 4.0**-ns * (1.0 - 1.0 / ns) ** 2
     )
@@ -242,7 +240,7 @@ def example_c0_truncated(N: int, opts: SolverOptions | None = None) -> ExampleRe
 
     e1 = np.zeros(N)
     e1[0] = 1.0
-    d_e1 = np.atleast_1d(eval_norm(norm, A.points[1:] - e1))
+    d_e1 = eval_norm(norm, A.points[1:] - e1)
     want_e1 = np.repeat((1.0 - 1.0 / ns) * (1.0 + np.sqrt(0.25 + 4.0**-ns)), 2)
     dev_e1 = float(np.max(np.abs(d_e1 - want_e1)))
     fq = farthest_set(A, e1)
@@ -401,14 +399,7 @@ def embed_lp3(
 
     l3 = pnorm(3, p)
     xs = rng.normal(size=(test_vectors, 3))
-    iso_dev = float(
-        np.max(
-            np.abs(
-                np.atleast_1d(eval_norm(norm, xs @ basis))
-                - np.atleast_1d(eval_norm(l3, xs))
-            )
-        )
-    )
+    iso_dev = float(np.max(np.abs(eval_norm(norm, xs @ basis) - eval_norm(l3, xs))))
     checks.append(
         _check("isometry: ||T x|| matches ||x||_p", "dev <= 1e-12", f"{iso_dev:.2e}", iso_dev <= 1e-12)
     )
@@ -419,8 +410,8 @@ def embed_lp3(
     )
 
     fs = rng.normal(size=(test_vectors, m))
-    norm_P = np.atleast_1d(eval_norm(norm, np.stack([P(f) for f in fs])))
-    norm_f = np.atleast_1d(eval_norm(norm, fs))
+    norm_P = eval_norm(norm, np.stack([P(f) for f in fs]))
+    norm_f = eval_norm(norm, fs)
     proj_ok = bool(np.all(norm_P <= norm_f + 1e-12))
     checks.append(
         _check(

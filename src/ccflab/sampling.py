@@ -42,7 +42,7 @@ def sample_unit_vectors(norm: NormSpec, count: int, rng: np.random.Generator) ->
     have = 0
     while have < count:
         cand = rng.uniform(-1.0, 1.0, size=(2 * (count - have) + 8, norm.dim))
-        lens = np.atleast_1d(eval_norm(norm, cand))
+        lens = eval_norm(norm, cand)
         keep = lens > 1e-6
         cand, lens = cand[keep], lens[keep]
         take = min(count - have, len(cand))
@@ -82,8 +82,6 @@ def rejection_sample_two_balls(
     if np.any(hi < lo) or proposals <= 0:
         return np.empty((0, norm.dim)), 0, max(proposals, 0)
     cand = rng.uniform(size=(proposals, norm.dim)) * (hi - lo) + lo
-    keep = (np.atleast_1d(eval_norm(norm, cand - c)) <= r) & (
-        np.atleast_1d(eval_norm(norm, cand - y)) <= R
-    )
+    keep = (eval_norm(norm, cand - c) <= r) & (eval_norm(norm, cand - y) <= R)
     pts = cand[keep]
     return pts, int(pts.shape[0]), proposals

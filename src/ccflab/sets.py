@@ -89,7 +89,7 @@ class FarthestQuery(Record):
 
 
 def _distances_from(A: PointSet, x: np.ndarray) -> np.ndarray:
-    return np.atleast_1d(eval_norm(A.norm, A.points - x))
+    return eval_norm(A.norm, A.points - x)
 
 
 def outer_radius(A: PointSet, x) -> float:
@@ -142,5 +142,5 @@ def distance_matrix_csv(A: PointSet, viewpoints) -> str:
     buf.write("point," + ",".join(labels) + "\n")
     for i, pt in enumerate(A.points):
         row = eval_norm(A.norm, vps - pt)
-        buf.write(f"{i}," + ",".join(f"{float(d)!r}" for d in np.atleast_1d(row)) + "\n")
+        buf.write(f"{i}," + ",".join(f"{float(d)!r}" for d in row) + "\n")
     return buf.getvalue()

@@ -163,11 +163,12 @@ def chebyshev_center(
     starts = [pts.mean(axis=0)] + [as_vector(s, A.dim, "start") for s in extra_starts or ()]
     dists = [eval_norm(A.norm, pts - s) for s in starts]
     k = int(np.argmin([np.max(d) for d in dists]))
-    best_x, best_r, d = starts[k], float(np.max(dists[k])), dists[k]
+    best_x, best_d = starts[k], dists[k]
+    best_r = float(np.max(best_d))
 
     budget = 1000 + 50 * A.dim**2 if opts.max_iters is None else opts.max_iters
     core = _CORE_PER_DIM * (A.dim + 1)
-    W = np.argsort(-d, kind="stable")[:core]
+    W = np.argsort(-best_d, kind="stable")[:core]
     lower = 0.0
     iterations = 0
     while True:
@@ -176,21 +177,24 @@ def chebyshev_center(
         lower = max(lower, lb)
         d = eval_norm(A.norm, pts - x)
         if float(np.max(d)) < best_r:
-            best_x, best_r = x, float(np.max(d))
+            best_x, best_d, best_r = x, d, float(np.max(d))
         violators = np.setdiff1d(np.flatnonzero(d > f_w), W)
         if not violators.size:
             break
         W = np.concatenate([W, violators[np.argsort(-d[violators], kind="stable")[:core]]])
 
-    result = _assemble(A, best_x, lower, iterations)
+    result = _assemble(A, best_x, lower, iterations, dists=best_d)
     if result.gap > opts.tol * max(1.0, result.radius):
         result = replace(result, flags=("not_converged",))
     return result
 
 
-def _assemble(A, center, gap_lb, iterations, flags=()) -> CenterResult:
+def _assemble(A, center, gap_lb, iterations, flags=(), dists=None) -> CenterResult:
+    """The result at ``center``; ``dists`` are its distances to the points,
+    when the caller already has them."""
     center = np.asarray(center, dtype=float)
-    dists = np.atleast_1d(eval_norm(A.norm, A.points - center))
+    if dists is None:
+        dists = eval_norm(A.norm, A.points - center)
     radius = float(np.max(dists))  # outer_radius(A, center), bit for bit
     tol = max(DEFAULT_ACHIEVER_TOL, 1e-12 * radius)
     achievers = tuple(int(i) for i in np.flatnonzero(dists >= radius - tol))
@@ -244,7 +248,7 @@ def brute_force_center(
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, A.dim)
         rvals = np.full(len(grid), -np.inf)
         for a in A.points:
-            rvals = np.maximum(rvals, np.atleast_1d(eval_norm(A.norm, grid - a)))
+            rvals = np.maximum(rvals, eval_norm(A.norm, grid - a))
         evals += len(grid)
         spacing = (hi - lo) / (grid_per_axis - 1)
         k = int(np.argmin(rvals))

@@ -8,7 +8,10 @@ import pytest
 
 import ccflab
 from ccflab import CenterResult, FarthestQuery, WitnessVerdict, norm_to_dict, pnorm
+from ccflab import cli
+from ccflab.ccf import ccnf_scan
 from ccflab.cli import main, reproduce_all
+from ccflab.solver import SolverOptions
 
 EUCLID_PAIR = {
     "norm": {"dim": 2, "family": {"pnorm": 2}},
@@ -147,6 +150,34 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("command, payload, key", [
+        ("farthest", {"set": EUCLID_PAIR, "viewpoint": [0.0, 2.0], "tol": None}, "tol"),
+        ("farthest", {"set": EUCLID_PAIR, "viewpoint": [0.0, 2.0], "tol": "tight"}, "tol"),
+        ("farthest", {"set": EUCLID_PAIR}, "viewpoint"),
+        ("scan", {"norm": norm_to_dict(pnorm(2, 2)), "t_grid": 5}, "t_grid"),
+        ("scan", {"norm": norm_to_dict(pnorm(2, 2)), "z_count": None}, "z_count"),
+        ("scan", {"z_count": 1}, "norm"),
+        ("cap-check", {"norm": norm_to_dict(pnorm(2, 4)), "u": [1.0, 0.0]}, "v"),
+        ("cap-check", {"norm": norm_to_dict(pnorm(2, 4)), "u": [1.0, 0.0], "v": [0.0, 1.0],
+                       "samples": None}, "samples"),
+    ])
+    def test_bad_input_key_exit_two(self, capsys, command, payload, key):
+        code, out, err = run(capsys, command, "--input", json.dumps(payload))
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err
+
+    @pytest.mark.parametrize("missing", ["p", "weights"])
+    @pytest.mark.parametrize("command", ["center", "scan"])
+    def test_wlp_norm_missing_key_exit_two(self, capsys, command, missing):
+        family = {"wlp": {k: v for k, v in {"p": 3, "weights": [2.0, 0.5]}.items() if k != missing}}
+        norm = {"dim": 2, "family": family}
+        payload = {"norm": norm, "points": [[0.0, 0.0], [1.0, 0.0]]} if command == "center" else {"norm": norm}
+        code, _, err = run(capsys, command, "--input", json.dumps(payload))
+        assert code == 2
+        assert repr(missing) in err
+
+
 class TestArtifacts:
     def test_output_dir_created_and_atomic(self, tmp_path, capsys):
         out_file = tmp_path / "made" / "by" / "cli" / "result.json"
@@ -216,6 +247,71 @@ class TestArtifacts:
         assert json.loads(out)["contained"] is True
 
 
+# A small witness set, and one request of each argv shape that
+# perfbench/workloads.py passes to cli.main, with the exit code it gets today.
+SMALL_L1 = {"norm": {"dim": 2, "family": {"pnorm": 1.0}}, "points": [[0.0, 0.0], [1.0, 0.5], [0.2, 1.0]]}
+BENCHMARK_ARGV = [
+    (["center", "--input", json.dumps(SMALL_L1), "--seed", "7"], 0),
+    (["center", "--input", json.dumps(SMALL_L1), "--max-iters", "20", "--starts", "1"], 3),
+    (["ccf-verify", "--input", json.dumps(L1_WITNESS), "--seed", "7"], 0),
+    (["farthest", "--input", json.dumps({"set": SMALL_L1, "viewpoint": [2.0, 2.0]})], 0),
+    (["reproduce", "finite-dim", "--n", "3", "--seed", "7"], 0),
+    (["reproduce", "c0", "--seed", "7"], 0),
+    (["reproduce", "sp-grid", "--seed", "7"], 0),
+    (["reproduce", "sp-grid"], 0),
+    (["reproduce", "ap-witness", "--p", "3", "--seed", "7"], 0),
+    (["reproduce", "embedding", "--seed", "7"], 0),
+]
+
+
+
+def _argv_id(argv):
+    """The argv with any inline JSON input left out."""
+    return " ".join(argv[:1] + argv[3:] if argv[1:2] == ["--input"] else argv)
+
+
+CAP_INPUT = {"norm": norm_to_dict(pnorm(2, 4)), "u": [1.0, 0.0], "v": [0.0, 1.0]}
+SCAN_INPUT = {"norm": norm_to_dict(pnorm(2, 2)), "z_count": 1, "t_grid": [0.5], "samples": 400}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv, code", BENCHMARK_ARGV, ids=[_argv_id(argv) for argv, _ in BENCHMARK_ARGV])
+    def test_benchmark_argv_keeps_exit_code(self, capsys, argv, code):
+        assert run(capsys, *argv)[0] == code
+
+    @pytest.mark.parametrize("argv", [
+        ["center", "--input", json.dumps(EUCLID_PAIR), "--samples", "10"],
+        ["scan", "--input", json.dumps(SCAN_INPUT), "--samples", "10"],
+        ["cap-check", "--input", json.dumps(CAP_INPUT), "--samples", "10"],
+        ["center", "--input", json.dumps(EUCLID_PAIR), "--format", "json"],
+        ["reproduce", "sp-grid", "--format", "json"],
+        ["farthest", "--input", json.dumps({"set": EUCLID_PAIR, "viewpoint": [0.0, 2.0]}), "--max-iters", "5"],
+        ["cap-check", "--input", json.dumps(CAP_INPUT), "--max-iters", "5"],
+        ["farthest", "--input", json.dumps({"set": EUCLID_PAIR, "viewpoint": [0.0, 2.0]}), "--tol", "achiever=1e-3"],
+        ["scan", "--input", json.dumps(SCAN_INPUT), "--starts", "1"],
+        ["ccf-verify", "--input", json.dumps(L1_WITNESS), "--tol", "center=1e-3"],
+        ["ccf-verify", "--input", json.dumps(L1_WITNESS), "--tol", "farthest=1e-3"],
+        ["center", "--input", json.dumps(EUCLID_PAIR), "--tol", "cap=1e-3"],
+        ["cap-check", "--input", json.dumps(CAP_INPUT), "--tol", "solver=1e-3"],
+        ["center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver"],
+        ["center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver=tight"],
+    ], ids=_argv_id)
+    def test_removed_flag_or_tol_name_exits_two(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_cap_tol_sets_tolerance(self, capsys):
+        code, out, _ = run(capsys, "cap-check", "--input", json.dumps(CAP_INPUT), "--tol", "cap=0.5")
+        assert code == 0
+        assert json.loads(out)["tolerance"] == 0.5
+
+    def test_solver_tol_reaches_solver(self, capsys):
+        code, _, err = run(capsys, "center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver=-1")
+        assert code == 2
+        assert "tol must be positive" in err
+
+
 class TestReproduceCommand:
     def test_finite_dim_target(self, capsys):
         code, out, _ = run(capsys, "reproduce", "finite-dim", "--n", "3")
@@ -257,6 +353,34 @@ class TestReproduceAll:
         assert (out_dir / "scan_l1.csv").exists()
         assert sorted(p.name for p in (out_dir / "reports").glob("*.json"))
         assert "finite-dim" in summary0
+
+
+    def test_solver_options_reach_every_solve(self, monkeypatch):
+        scans = []
+
+        def recording_scan(*args, **kwargs):
+            scans.append(ccnf_scan(*args, **kwargs))
+            return scans[-1]
+
+        monkeypatch.setattr(cli, "ccnf_scan", recording_scan)
+        kwargs = dict(scan_samples=2500, scan_z_count=6, scan_t_grid=(0.5, 0.8))
+        reports, _, _ = reproduce_all(opts=SolverOptions(max_iters=1), **kwargs)
+        assert not all(r.overall for r in reports)
+        assert len(scans) == 3
+        for scan in scans:
+            assert all("solver_not_converged" in row.flags for row in scan.rows)
+
+    def test_cli_passes_solver_flags(self, monkeypatch, capsys):
+        seen = {}
+
+        def fake_reproduce_all(**kwargs):
+            seen.update(kwargs)
+            return [], [], ""
+
+        monkeypatch.setattr(cli, "reproduce_all", fake_reproduce_all)
+        code, _, _ = run(capsys, "reproduce", "all", "--max-iters", "1", "--tol", "solver=1e-3")
+        assert code == 0
+        assert seen["opts"] == SolverOptions(max_iters=1, tol=1e-3)
 
 
 class TestImportFootprint:

@@ -272,6 +272,11 @@ class TestJsonCodec:
         with pytest.raises(ValueError, match="unknown norm family"):
             norm_from_dict({"dim": 2, "family": {"mystery": 1}})
 
+    @pytest.mark.parametrize("payload, missing", [({"weights": [1.0, 2.0]}, "p"), ({"p": 3}, "weights"), (3, "p")])
+    def test_wlp_missing_key_named(self, payload, missing):
+        with pytest.raises(ValueError, match=f"missing key '{missing}'"):
+            norm_from_dict({"dim": 2, "family": {"wlp": payload}})
+
 
 def test_linf_lower_constant_bounds_hold():
     rng = rng_stream(23, "linf-const")
