@@ -5,129 +5,17 @@ set of norm families.  A set is *CCF* when one of its Chebyshev centers is
 also a farthest point of the set from some viewpoint, and *CCNF* otherwise;
 the ccf module provides witness verification and sampled scans for these
 properties, and the reproductions module packages the benchmark constructions
-end to end.
+end to end.  The package namespace is the union of the ``__all__`` lists
+of the layer modules norms, sets, solver, ccf and reproductions.
 """
 
-from .norms import (
-    INF,
-    NormSpec,
-    PNorm,
-    SumComposite,
-    SupPlusWeightedL2,
-    WeightedPNorm,
-    convexity_defect,
-    distance,
-    eval_norm,
-    is_strictly_convex_family,
-    norm_from_dict,
-    norm_subgradient,
-    norm_to_dict,
-    pnorm,
-    sum_composite,
-    sup_plus_weighted_l2,
-    weighted_pnorm,
-)
-from .sets import (
-    DEFAULT_ACHIEVER_TOL,
-    FarthestQuery,
-    PointSet,
-    diameter,
-    distance_matrix_csv,
-    farthest_set,
-    is_centerable,
-    outer_radius,
-)
-from .solver import (
-    CenterResult,
-    SolverOptions,
-    brute_force_center,
-    chebyshev_center,
-    chebyshev_radius,
-    symmetric_line_minimize,
-)
-from .ccf import (
-    CcfWitness,
-    RtzEstimate,
-    ScanResult,
-    TwoBallReport,
-    TwoBallSet,
-    WitnessVerdict,
-    amplify_witness,
-    build_two_ball_set,
-    cap_containment_check,
-    ccnf_scan,
-    check_two_ball_properties,
-    estimate_r_tz,
-    verify_ccf_witness,
-)
-from .reproductions import (
-    Check,
-    ExampleReport,
-    WeightedLpSpace,
-    ap_ccf_check,
-    embed_lp3,
-    example_c0_truncated,
-    example_finite_dim,
-    sp_closed_form,
-    summary_markdown,
-    write_reports,
-)
+from . import ccf, norms, reproductions, sets, solver
+from .ccf import *
+from .norms import *
+from .reproductions import *
+from .sets import *
+from .solver import *
 
-__all__ = [
-    "INF",
-    "NormSpec",
-    "PNorm",
-    "SumComposite",
-    "SupPlusWeightedL2",
-    "WeightedPNorm",
-    "pnorm",
-    "sum_composite",
-    "sup_plus_weighted_l2",
-    "weighted_pnorm",
-    "eval_norm",
-    "distance",
-    "convexity_defect",
-    "is_strictly_convex_family",
-    "norm_subgradient",
-    "norm_to_dict",
-    "norm_from_dict",
-    "DEFAULT_ACHIEVER_TOL",
-    "PointSet",
-    "FarthestQuery",
-    "outer_radius",
-    "farthest_set",
-    "diameter",
-    "is_centerable",
-    "distance_matrix_csv",
-    "SolverOptions",
-    "CenterResult",
-    "chebyshev_center",
-    "chebyshev_radius",
-    "brute_force_center",
-    "symmetric_line_minimize",
-    "CcfWitness",
-    "WitnessVerdict",
-    "verify_ccf_witness",
-    "amplify_witness",
-    "TwoBallSet",
-    "TwoBallReport",
-    "build_two_ball_set",
-    "check_two_ball_properties",
-    "RtzEstimate",
-    "estimate_r_tz",
-    "ScanResult",
-    "ccnf_scan",
-    "cap_containment_check",
-    "Check",
-    "ExampleReport",
-    "WeightedLpSpace",
-    "example_finite_dim",
-    "example_c0_truncated",
-    "sp_closed_form",
-    "ap_ccf_check",
-    "embed_lp3",
-    "summary_markdown",
-    "write_reports",
-]
+__all__ = [*norms.__all__, *sets.__all__, *solver.__all__, *ccf.__all__, *reproductions.__all__]
 
 __version__ = "0.1.0"

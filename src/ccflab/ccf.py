@@ -158,9 +158,8 @@ def amplify_witness(A: PointSet, c, z, t: float, tol: float = DEFAULT_ACHIEVER_T
         raise ValueError(f"amplification factor must be >= 1, got {t}")
     ac = as_vector(c, A.dim, "c")
     az = as_vector(z, A.dim, "z")
-    dists = eval_norm(A.norm, A.points - az)
     d_c = float(eval_norm(A.norm, ac - az))
-    if d_c < float(np.max(dists)) - tol:
+    if d_c < outer_radius(A, az) - tol:
         raise ValueError("precondition violated: c is not farthest in A from z")
     return t * az + (1.0 - t) * ac
 
@@ -189,12 +188,14 @@ class TwoBallSet(Record):
     def sample(self, proposals: int):
         """Uniform points of the body: (points, accepted, proposed).
 
-        Degenerate bodies (r = 0) return just {c}.  Nested calls with growing
-        ``proposals`` reuse a common prefix of the Philox stream, so samples
-        are nested across sizes.
+        ``proposals`` must be nonnegative.  Degenerate bodies (r = 0) return
+        just {c}.  Nested calls with growing ``proposals`` reuse a common
+        prefix of the Philox stream, so samples are nested across sizes.
         """
+        if proposals < 0:
+            raise ValueError(f"'proposals' must be at least 0, got {proposals}")
         if self.r == 0.0:
-            return self.c.reshape(1, -1), 1, max(proposals, 0)
+            return self.c.reshape(1, -1), 1, proposals
         rng = rng_stream(self.sampler_seed, "two-ball")
         return rejection_sample_two_balls(
             self.norm, self.c, self.r, self.y, self.R, proposals, rng
@@ -218,12 +219,9 @@ def build_two_ball_set(
             f"rejected: r = {r} exceeds R = ||c - y|| = {R}; "
             "the claimed center cannot be farthest from y"
         )
-    dists = eval_norm(A.norm, A.points - ay)
-    if R < float(np.max(dists)) - tol:
-        raise ValueError(
-            "rejected: some point of A is farther from y than c is "
-            f"({float(np.max(dists))} > {R})"
-        )
+    r_y = outer_radius(A, ay)
+    if R < r_y - tol:
+        raise ValueError(f"rejected: some point of A is farther from y than c is ({r_y} > {R})")
     return TwoBallSet(c=ac, r=float(r), y=ay, R=R, norm=A.norm, sampler_seed=seed)
 
 
@@ -347,34 +345,34 @@ def estimate_r_tz(
 ) -> RtzEstimate:
     """Inner-sample B_X ∩ B[z, t] and solve the sample's Chebyshev radius.
 
-    ``z`` must lie on the unit sphere (tolerance 1e-9); ``samples`` counts
-    rejection-sampler proposals drawn from the bounding box of the
-    intersection.  The points z and (1-t)z always join the sample (both lie
-    in the body), so the estimate is defined even for thin intersections;
-    acceptance below 1e-3 is flagged as ``thin_intersection``.  ``opts``
-    goes to the solver as given (None means ``SolverOptions()``); a solve
-    whose certified gap misses its tolerance is flagged
-    ``solver_not_converged``.
+    ``z`` must lie on the unit sphere (tolerance 1e-9); ``samples`` (at
+    least 1) counts rejection-sampler proposals drawn from the bounding box
+    of the intersection.  The points z and (1-t)z always join the sample
+    (both lie in the body), so the estimate is defined even for thin
+    intersections; acceptance below 1e-3 is flagged as
+    ``thin_intersection``.  ``opts`` goes to the solver as given (None means
+    ``SolverOptions()``); a solve whose certified gap misses its tolerance
+    is flagged ``solver_not_converged``.
     """
     az = as_vector(z, norm.dim, "z")
     if abs(float(eval_norm(norm, az)) - 1.0) > 1e-9:
         raise ValueError("z must lie on the unit sphere of the ambient norm")
     if not (0.0 < t <= 1.0):
         raise ValueError(f"t must lie in (0, 1], got {t}")
+    if samples < 1:
+        raise ValueError(f"'samples' must be at least 1, got {samples}")
 
     origin = np.zeros(norm.dim)
     rng = rng_stream(seed, "rtz", float(t))
     pts, accepted, proposed = rejection_sample_two_balls(
         norm, origin, 1.0, az, t, samples, rng
     )
-    anchors = np.stack([az, (1.0 - t) * az])
-    pts = np.vstack([anchors, pts]) if accepted else anchors
 
     flags: tuple[str, ...] = ()
-    if proposed and accepted / proposed < 1e-3:
+    if accepted / proposed < 1e-3:
         flags = ("thin_intersection",)
 
-    sample_set = PointSet(norm, pts)
+    sample_set = PointSet(norm, np.vstack([az, (1.0 - t) * az, pts]))
     solved = chebyshev_center(sample_set, opts, extra_starts=[az])
     if not solved.converged:
         flags = flags + ("solver_not_converged",)
@@ -394,9 +392,11 @@ class ScanResult(Record):
     """Grid of r_{t,z} estimates over sampled unit directions and a t-grid.
 
     ``verdict`` classifies the evidence: "ccnf-evidence" when the largest
-    r_hat/t stays at or below ``ccnf_threshold``, "ccf-signal" when some cell
-    reaches ``ccf_threshold``, otherwise "inconclusive".  This is sampled
-    evidence, not a certificate; density data stays attached to every row.
+    r_hat/t stays at or below ``ccnf_threshold`` (default
+    CCNF_EVIDENCE_MAX_RATIO), "ccf-signal" when some cell reaches
+    ``ccf_threshold`` (default CCF_SIGNAL_MIN_RATIO), otherwise
+    "inconclusive".  This is sampled evidence, not a certificate; density
+    data stays attached to every row.
     """
 
     _keys = (
@@ -409,8 +409,8 @@ class ScanResult(Record):
     t_grid: tuple[float, ...]
     samples: int
     seed: int
-    ccnf_threshold: float
-    ccf_threshold: float
+    ccnf_threshold: float = CCNF_EVIDENCE_MAX_RATIO
+    ccf_threshold: float = CCF_SIGNAL_MIN_RATIO
 
     @property
     def max_ratio(self) -> float:
@@ -455,21 +455,21 @@ def ccnf_scan(
     samples: int,
     seed: int = 0,
     opts: SolverOptions | None = None,
-    ccnf_threshold: float = CCNF_EVIDENCE_MAX_RATIO,
-    ccf_threshold: float = CCF_SIGNAL_MIN_RATIO,
 ) -> ScanResult:
     """Estimate r_{t,z} over a deterministic unit-sphere sample times a t-grid.
 
-    Cells run one after another, z-major.  Every cell derives its own
-    Philox stream from (seed, cell indices), so each row depends only on its
-    own cell, not on the order the cells run in.  ``opts`` is passed to every
-    cell's solve.
+    ``z_count`` and ``samples`` must be at least 1.  Cells run one after
+    another, z-major.  Every cell derives its own Philox stream from (seed,
+    cell indices), so each row depends only on its own cell, not on the
+    order the cells run in.  ``opts`` is passed to every cell's solve.
     """
     ts = tuple(float(t) for t in t_grid)
     if not ts:
         raise ValueError("t_grid must be nonempty")
     if any(not (0.0 < t <= 1.0) for t in ts):
         raise ValueError("t values must lie in (0, 1]")
+    if z_count < 1:
+        raise ValueError(f"'z_count' must be at least 1, got {z_count}")
     zs = sample_unit_vectors(norm, z_count, rng_stream(seed, "scan-z"))
 
     rows = tuple(
@@ -477,15 +477,7 @@ def ccnf_scan(
         for zi in range(z_count)
         for ti in range(len(ts))
     )
-    return ScanResult(
-        norm=norm,
-        rows=rows,
-        t_grid=ts,
-        samples=samples,
-        seed=seed,
-        ccnf_threshold=ccnf_threshold,
-        ccf_threshold=ccf_threshold,
-    )
+    return ScanResult(norm=norm, rows=rows, t_grid=ts, samples=samples, seed=seed)
 
 
 def _cell_seed(seed: int, zi: int, ti: int) -> int:
@@ -497,11 +489,14 @@ def cap_containment_check(norm: NormSpec, u, v, samples: int = 256) -> float:
 
     The cap is the arc of the unit sphere cut off by the chord on the side
     away from the origin; w = (u+v)/2 and r = ||u-v||/2.  The chord must not
-    pass through the origin (distance checked at 1e-9).  A nonpositive return
-    certifies that every sampled cap point lies in w + r B_X.
+    pass through the origin (distance checked at 1e-9), and ``samples`` must
+    be at least 3.  A nonpositive return certifies that every sampled cap
+    point lies in w + r B_X.
     """
     if norm.dim != 2:
         raise ValueError("cap containment is a planar (dim 2) check")
+    if samples < 3:
+        raise ValueError(f"'samples' must be at least 3, got {samples}")
     au = as_vector(u, 2, "u")
     av = as_vector(v, 2, "v")
     for name, vec in (("u", au), ("v", av)):
@@ -538,9 +533,9 @@ def cap_containment_check(norm: NormSpec, u, v, samples: int = 256) -> float:
         mid = pts[len(pts) // 2]
         return (np.dot(normal, mid) - offset) * offset > 0.0
 
-    cand = arc_points(phi_u, delta, max(samples, 3))
+    cand = arc_points(phi_u, delta, samples)
     if not far_side(cand):
-        cand = arc_points(phi_u, delta - 2.0 * np.pi, max(samples, 3))
+        cand = arc_points(phi_u, delta - 2.0 * np.pi, samples)
         if not far_side(cand):
             raise ValueError("could not identify the far-side cap arc")
     dists = eval_norm(norm, cand - w)

@@ -8,8 +8,9 @@ Exit codes separate mathematical verdicts from operational errors:
 * 0: success / verdict positive
 * 1: verdict negative (e.g. a witness was not confirmed, a reproduction
   check failed)
-* 2: input error (malformed JSON, a missing key or a value of the wrong
-  type, which the error names; unknown norm family, bad arguments)
+* 2: input error (malformed JSON; a missing key, a value of the wrong
+  type or a count below its minimum, which the error names; unknown norm
+  family, bad arguments)
 * 3: solver indeterminate (non-convergence)
 
 Outputs are deterministic for a fixed seed and are written atomically
@@ -20,12 +21,16 @@ the flags it reads:
   ignore it), and ``--input`` except ``reproduce``;
 * the commands that solve (``center``, ``ccf-verify``, ``scan``,
   ``reproduce``): ``--max-iters`` (ellipsoid iterations per working-set
-  round) and ``--tol solver=`` (the certified gap that counts as converged);
+  round, at least 1) and ``--tol solver=`` (the certified gap that counts
+  as converged);
 * ``cap-check``: ``--tol cap=`` (the excess that counts as contained);
-* ``scan``: ``--format json|csv``; ``reproduce``: ``--n``, ``--trunc``,
-  ``--p``, ``--t`` and ``--weights``.
+* ``scan``: ``--format json|csv``; ``reproduce``: the target (one of
+  ``REPRODUCE_TARGETS`` or ``all``), ``--n``, ``--trunc``, ``--p``, ``--t``
+  and ``--weights``.
 
-Every other tolerance and sample count is a field of the input JSON.
+Every other tolerance and sample count is a field of the input JSON.  The
+counts must be positive: ``scan`` needs ``z_count`` and ``samples`` of at
+least 1, ``cap-check`` ``samples`` of at least 3.
 """
 
 from __future__ import annotations
@@ -51,16 +56,15 @@ from .reproductions import (
     ExampleReport,
     WeightedLpSpace,
     ap_ccf_check,
+    embed_lp3,
     example_c0_truncated,
     example_finite_dim,
-    sp_closed_form,
-    embed_lp3,
+    sp_grid_check,
     summary_markdown,
     write_reports,
-    Check,
 )
 from .sets import DEFAULT_ACHIEVER_TOL, PointSet, farthest_set
-from .solver import SolverOptions, chebyshev_center, symmetric_line_minimize
+from .solver import SolverOptions, chebyshev_center
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -175,27 +179,6 @@ def _cmd_cap_check(args) -> int:
     return EXIT_OK if contained else EXIT_VERDICT
 
 
-def _sp_grid_report() -> ExampleReport:
-    ps = np.exp(np.linspace(np.log(1.1), np.log(10.0), 13))
-    worst = 0.0
-    for p in ps:
-        A0 = PointSet(pnorm(3, float(p)), np.eye(3))
-        s, _ = symmetric_line_minimize(A0, np.ones(3))
-        worst = max(worst, float(abs(s - sp_closed_form(float(p)))))
-    check = Check(
-        description="line minimizer matches 1/(1 + 2^(1/(p-1))) on a log grid of p",
-        expected="max |dev| <= 1e-8",
-        observed=f"max |dev| = {worst:.2e}",
-        passed=bool(worst <= 1e-8),
-    )
-    return ExampleReport(
-        name="sp-grid",
-        parameters={"p_grid": [round(float(p), 6) for p in ps]},
-        checks=(check,),
-        overall=check.passed,
-    )
-
-
 def reproduce_all(
     seed: int = 0,
     out_dir: str | Path | None = None,
@@ -214,7 +197,7 @@ def reproduce_all(
     t_grid = tuple(ScanInput.t_grid if scan_t_grid is None else scan_t_grid)
     reports = [example_finite_dim(n, opts) for n in (3, 4, 5)]
     reports.append(example_c0_truncated(10, opts))
-    reports.append(_sp_grid_report())
+    reports.append(sp_grid_check())
     for p in (1.5, 3.0, 4.0):
         reports.append(ap_ccf_check(p, 100.0, opts))
     reports.append(embed_lp3(WeightedLpSpace(3.0, (2.0, 0.5, 1.0, 3.0)), (0, 1, 2), seed=seed, opts=opts))
@@ -251,30 +234,28 @@ def reproduce_all(
     return reports, scan_dicts, summary
 
 
+# The single-report reproduce targets, each building its report from the
+# parsed flags and the solver options; ``reproduce all`` runs reproduce_all.
+REPRODUCE_TARGETS = {
+    "finite-dim": lambda args, opts: example_finite_dim(args.n, opts),
+    "c0": lambda args, opts: example_c0_truncated(args.trunc, opts),
+    "sp-grid": lambda args, opts: sp_grid_check(),
+    "ap-witness": lambda args, opts: ap_ccf_check(1.5 if args.p is None else args.p, args.t, opts),
+    "embedding": lambda args, opts: embed_lp3(
+        WeightedLpSpace(3.0 if args.p is None else args.p, tuple(map(float, args.weights.split(",")))),
+        (0, 1, 2), seed=args.seed, opts=opts,
+    ),
+}
+
+
 def _cmd_reproduce(args) -> int:
     opts = _solver_options(args)
-    target = args.target
-    if target == "all":
+    if args.target == "all":
         reports, _, summary = reproduce_all(seed=args.seed, out_dir=args.output, opts=opts)
         if not args.output:
             sys.stdout.write(summary)
-        ok = all(r.overall for r in reports)
-        return EXIT_OK if ok else EXIT_VERDICT
-
-    if target == "finite-dim":
-        report = example_finite_dim(args.n, opts)
-    elif target == "c0":
-        report = example_c0_truncated(args.trunc, opts)
-    elif target == "sp-grid":
-        report = _sp_grid_report()
-    elif target == "ap-witness":
-        report = ap_ccf_check(args.p if args.p is not None else 1.5, args.t, opts)
-    elif target == "embedding":
-        weights = tuple(float(w) for w in (args.weights or "2,0.5,1,3").split(","))
-        space = WeightedLpSpace(args.p if args.p is not None else 3.0, weights)
-        report = embed_lp3(space, (0, 1, 2), seed=args.seed, opts=opts)
-    else:
-        raise InputError(f"unknown reproduce target: {target!r}")
+        return EXIT_OK if all(r.overall for r in reports) else EXIT_VERDICT
+    report = REPRODUCE_TARGETS[args.target](args, opts)
     _emit(args, report.to_dict())
     return EXIT_OK if report.overall else EXIT_VERDICT
 
@@ -328,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     command("cap-check", _cmd_cap_check, "planar cap containment check", tol=("cap", 1e-9))
 
     rep = command("reproduce", _cmd_reproduce, "run a benchmark reproduction", solves=True, takes_input=False)
-    rep.add_argument("target", choices=("finite-dim", "c0", "sp-grid", "ap-witness", "embedding", "all"))
+    rep.add_argument("target", choices=(*REPRODUCE_TARGETS, "all"))
     rep.add_argument("--n", type=int, default=3, help="dimension for finite-dim")
     rep.add_argument("--trunc", type=int, default=10, help="truncation size for c0")
     rep.add_argument("--p", type=float, default=None,
                      help="exponent (ap-witness default 1.5, embedding default 3.0)")
     rep.add_argument("--t", type=float, default=100.0)
-    rep.add_argument("--weights", default=None, help="comma-separated atom weights for embedding")
+    rep.add_argument("--weights", default="2,0.5,1,3", help="comma-separated atom weights for embedding")
 
     return parser
 

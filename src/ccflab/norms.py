@@ -54,6 +54,14 @@ def as_vector(x, dim: int, name: str = "x") -> np.ndarray:
     return arr
 
 
+def _positive_weights(weights, what: str) -> tuple[float, ...]:
+    """The weights as floats; all must be finite and positive, and one at least."""
+    w = tuple(float(v) for v in weights)
+    if not w or any(not (v > 0.0) or not np.isfinite(v) for v in w):
+        raise ValueError(f"{what} weights must all be positive")
+    return w
+
+
 def _as_batch(x, dim: int, name: str = "x") -> np.ndarray:
     """Like :func:`as_vector` but accepts stacked inputs of shape (..., dim)."""
     arr = np.asarray(x, dtype=float)
@@ -88,15 +96,11 @@ class SumComposite:
     def __post_init__(self):
         if not self.terms:
             raise ValueError("SumComposite needs at least one term")
-        terms = []
-        for weight, child in self.terms:
-            w = float(weight)
-            if not (w > 0.0) or not np.isfinite(w):
-                raise ValueError(f"composite weights must be positive, got {weight}")
-            if not isinstance(child, NormSpec):
-                raise TypeError("composite children must be NormSpec instances")
-            terms.append((w, child))
-        object.__setattr__(self, "terms", tuple(terms))
+        weights = _positive_weights((w for w, _ in self.terms), "composite")
+        children = tuple(child for _, child in self.terms)
+        if not all(isinstance(child, NormSpec) for child in children):
+            raise TypeError("composite children must be NormSpec instances")
+        object.__setattr__(self, "terms", tuple(zip(weights, children)))
 
 
 @dataclass(frozen=True)
@@ -106,10 +110,7 @@ class SupPlusWeightedL2:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
-        if not w or any(not (v > 0.0) or not np.isfinite(v) for v in w):
-            raise ValueError("sup-plus-weighted-l2 weights must all be positive")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _positive_weights(self.weights, "sup-plus-weighted-l2"))
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,8 @@ class WeightedPNorm:
         p = float(self.p)
         if not (1.0 < p < INF):
             raise ValueError(f"weighted p-norm requires 1 < p < inf, got {self.p}")
-        w = tuple(float(v) for v in self.weights)
-        if not w or any(not (v > 0.0) or not np.isfinite(v) for v in w):
-            raise ValueError("weighted p-norm weights must all be positive")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _positive_weights(self.weights, "weighted p-norm"))
 
 
 Family = Union[PNorm, SumComposite, SupPlusWeightedL2, WeightedPNorm]
@@ -196,10 +194,8 @@ def _eval_family(fam: Family, x: np.ndarray) -> np.ndarray:
         w = np.asarray(fam.weights)
         sup = np.max(np.abs(x), axis=-1)
         return sup + np.sqrt(np.sum(w * x * x, axis=-1))
-    if isinstance(fam, WeightedPNorm):
-        scale = np.asarray(fam.weights) ** (1.0 / fam.p)
-        return np.linalg.norm(x * scale, ord=fam.p, axis=-1)
-    raise TypeError(f"unknown norm family: {type(fam).__name__}")
+    scale = np.asarray(fam.weights) ** (1.0 / fam.p)  # WeightedPNorm
+    return np.linalg.norm(x * scale, ord=fam.p, axis=-1)
 
 
 def eval_norm(norm: NormSpec, x):
@@ -253,14 +249,20 @@ def is_strictly_convex_family(norm: NormSpec) -> bool:
         return any(
             is_strictly_convex_family(child) for _, child in fam.terms
         )
-    if isinstance(fam, (SupPlusWeightedL2, WeightedPNorm)):
-        return True
-    raise TypeError(f"unknown norm family: {type(fam).__name__}")
+    return True  # SupPlusWeightedL2, WeightedPNorm
 
 
 def _sgn_vertex(v: np.ndarray) -> np.ndarray:
     # Extreme vertex of the sign box: zeros resolve deterministically to +1.
     return np.where(v >= 0.0, 1.0, -1.0)
+
+
+def _sup_subgradient(v: np.ndarray) -> np.ndarray:
+    # The signed lowest argmax coordinate (+1 at zero).
+    i = int(np.argmax(np.abs(v)))
+    g = np.zeros_like(v)
+    g[i] = 1.0 if v[i] >= 0.0 else -1.0
+    return g
 
 
 def norm_subgradient(norm: NormSpec, v) -> np.ndarray:
@@ -284,10 +286,7 @@ def _subgrad_family(fam: Family, v: np.ndarray) -> np.ndarray:
         if p == 1.0:
             return _sgn_vertex(v)
         if p == INF:
-            i = int(np.argmax(np.abs(v)))
-            g = np.zeros_like(v)
-            g[i] = 1.0 if v[i] >= 0.0 else -1.0
-            return g
+            return _sup_subgradient(v)
         if p == 2.0:
             return v / np.linalg.norm(v)
         # Normalize first so |v|^(p-1) cannot overflow for large p.
@@ -301,23 +300,19 @@ def _subgrad_family(fam: Family, v: np.ndarray) -> np.ndarray:
             g = g + w * _subgrad_family(child.family, v)
         return g
     if isinstance(fam, SupPlusWeightedL2):
-        i = int(np.argmax(np.abs(v)))
-        g = np.zeros_like(v)
-        g[i] = 1.0 if v[i] >= 0.0 else -1.0
+        g = _sup_subgradient(v)
         w = np.asarray(fam.weights)
         l2 = np.sqrt(np.sum(w * v * v))
         if l2 > 0.0:
             g = g + w * v / l2
         return g
-    if isinstance(fam, WeightedPNorm):
-        p = fam.p
-        w = np.asarray(fam.weights)
-        scale = np.max(np.abs(v))
-        u = v / scale
-        total = np.sum(w * np.abs(u) ** p) ** (1.0 / p)
-        num = w * np.sign(u) * np.abs(u) ** (p - 1.0)
-        return num / total ** (p - 1.0)
-    raise TypeError(f"unknown norm family: {type(fam).__name__}")
+    p = fam.p  # WeightedPNorm
+    w = np.asarray(fam.weights)
+    scale = np.max(np.abs(v))
+    u = v / scale
+    total = np.sum(w * np.abs(u) ** p) ** (1.0 / p)
+    num = w * np.sign(u) * np.abs(u) ** (p - 1.0)
+    return num / total ** (p - 1.0)
 
 
 def linf_lower_constant(norm: NormSpec) -> float:
@@ -327,15 +322,11 @@ def linf_lower_constant(norm: NormSpec) -> float:
     the box c +- r/a per coordinate.
     """
     fam = norm.family
-    if isinstance(fam, PNorm):
+    if isinstance(fam, (PNorm, SupPlusWeightedL2)):
         return 1.0
     if isinstance(fam, SumComposite):
         return sum(w * linf_lower_constant(child) for w, child in fam.terms)
-    if isinstance(fam, SupPlusWeightedL2):
-        return 1.0
-    if isinstance(fam, WeightedPNorm):
-        return min(fam.weights) ** (1.0 / fam.p)
-    raise TypeError(f"unknown norm family: {type(fam).__name__}")
+    return min(fam.weights) ** (1.0 / fam.p)  # WeightedPNorm
 
 
 # --- JSON codec ------------------------------------------------------------
@@ -354,9 +345,7 @@ def _family_to_dict(fam: Family):
         return {"sum": [[w, norm_to_dict(child)] for w, child in fam.terms]}
     if isinstance(fam, SupPlusWeightedL2):
         return {"sup_plus_wl2": list(fam.weights)}
-    if isinstance(fam, WeightedPNorm):
-        return {"wlp": {"p": fam.p, "weights": list(fam.weights)}}
-    raise TypeError(f"unknown norm family: {type(fam).__name__}")
+    return {"wlp": {"p": fam.p, "weights": list(fam.weights)}}  # WeightedPNorm
 
 
 def norm_to_dict(norm: NormSpec) -> dict:

@@ -13,9 +13,10 @@ The benchmark families:
 * ``example_c0_truncated``: a finite truncation of a sequence-space geometry
   (sup plus weighted l2 with weights 4^-k) whose truncated set is nearly
   centerable with center near the origin.
-* ``sp_closed_form`` / ``ap_ccf_check``: the three-unit-vector set in lp^3,
-  its symmetric center (s_p, s_p, s_p) with s_p = 1/(1 + 2^(1/(p-1))), and
-  the CCF witness built from it for p != 2.
+* ``sp_closed_form`` / ``sp_grid_check`` / ``ap_ccf_check``: the
+  three-unit-vector set in lp^3, its symmetric center (s_p, s_p, s_p) with
+  s_p = 1/(1 + 2^(1/(p-1))), the line minimizer checked against s_p on a
+  grid of p, and the CCF witness built from it for p != 2.
 * ``embed_lp3``: the isometric embedding of lp^3 onto three unit-scaled
   atom indicators inside a weighted discrete-measure Lp space, with the
   norm-one averaging projection, transporting the witness along.
@@ -42,6 +43,7 @@ __all__ = [
     "example_finite_dim",
     "example_c0_truncated",
     "sp_closed_form",
+    "sp_grid_check",
     "ap_ccf_check",
     "embed_lp3",
     "summary_markdown",
@@ -267,6 +269,31 @@ def sp_closed_form(p: float) -> float:
     return 1.0 / (1.0 + 2.0 ** (1.0 / (p - 1.0)))
 
 
+def sp_grid_check() -> ExampleReport:
+    """symmetric_line_minimize against s_p on 13 log-spaced p in [1.1, 10]."""
+    ps = np.exp(np.linspace(np.log(1.1), np.log(10.0), 13))
+    worst = max(
+        abs(symmetric_line_minimize(PointSet(pnorm(3, p), np.eye(3)), np.ones(3))[0] - sp_closed_form(p))
+        for p in map(float, ps)
+    )
+    check = _check(
+        "line minimizer matches 1/(1 + 2^(1/(p-1))) on a log grid of p",
+        "max |dev| <= 1e-8",
+        f"max |dev| = {worst:.2e}",
+        worst <= 1e-8,
+    )
+    return _report("sp-grid", {"p_grid": [round(float(p), 6) for p in ps]}, [check])
+
+
+def _lp3_witness(p: float, t: float):
+    """The lp^3 CCF witness: s_p, the side sign (+1 for p < 2, -1 above),
+    the points e_1, e_2, e_3, x_p = (s_p, s_p, s_p), and the viewpoint
+    sign * (t, t, t)."""
+    sp = sp_closed_form(p)
+    sign = 1.0 if p < 2.0 else -1.0
+    return sp, sign, np.vstack([np.eye(3), np.full(3, sp)]), sign * np.full(3, t)
+
+
 def ap_ccf_check(p: float, t: float = 100.0, opts: SolverOptions | None = None) -> ExampleReport:
     """The CCF witness in lp^3 for p != 2.
 
@@ -280,12 +307,9 @@ def ap_ccf_check(p: float, t: float = 100.0, opts: SolverOptions | None = None) 
         raise ValueError(f"requires p in (1,2) or (2,inf), got {p}")
     if not (t > 1.0):
         raise ValueError(f"requires t > 1, got {t}")
-    sp = sp_closed_form(p)
-    norm = pnorm(3, p)
-    x_p = np.full(3, sp)
-    A = PointSet(norm, np.vstack([np.eye(3), x_p]))
-    sign = 1.0 if p < 2.0 else -1.0
-    y = sign * np.full(3, t)
+    sp, sign, pts, y = _lp3_witness(p, t)
+    x_p = pts[3]
+    A = PointSet(pnorm(3, p), pts)
     checks: list[Check] = []
 
     side_ok = sp < 1.0 / 3.0 if p < 2.0 else sp > 1.0 / 3.0
@@ -342,13 +366,10 @@ class WeightedLpSpace:
     atom_weights: tuple[float, ...]
 
     def __post_init__(self):
-        if not (1.0 < float(self.p) < float("inf")):
-            raise ValueError(f"requires 1 < p < inf, got {self.p}")
-        w = tuple(float(v) for v in self.atom_weights)
-        if not w or any(v <= 0.0 for v in w):
-            raise ValueError("atom weights must all be positive")
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "atom_weights", w)
+        # WeightedPNorm checks 1 < p < inf and the weights.
+        family = self.norm_spec().family
+        object.__setattr__(self, "p", family.p)
+        object.__setattr__(self, "atom_weights", family.weights)
 
     @property
     def dim(self) -> int:
@@ -422,13 +443,8 @@ def embed_lp3(
         )
     )
 
-    sp = sp_closed_form(p)
-    sign = 1.0 if p < 2.0 else -1.0
-    t = 100.0
-    Ap = np.vstack([np.eye(3), np.full(3, sp)])
-    TA = PointSet(norm, Ap @ basis)
-    Ty = T(sign * np.full(3, t))
-    verdict = verify_ccf_witness(CcfWitness(TA, 3, Ty), opts)
+    _, _, Ap, y = _lp3_witness(p, 100.0)
+    verdict = verify_ccf_witness(CcfWitness(PointSet(norm, T(Ap)), 3, T(y)), opts)
     checks.append(
         _check(
             "transported witness (T A_p, T x_p, T y) confirmed",

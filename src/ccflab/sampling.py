@@ -16,8 +16,6 @@ from .norms import NormSpec, eval_norm, linf_lower_constant
 __all__ = [
     "rng_stream",
     "sample_unit_vectors",
-    "ball_box",
-    "intersect_boxes",
     "rejection_sample_two_balls",
 ]
 
@@ -51,18 +49,6 @@ def sample_unit_vectors(norm: NormSpec, count: int, rng: np.random.Generator) ->
     return out
 
 
-def ball_box(norm: NormSpec, center: np.ndarray, radius: float):
-    """Axis-aligned bounding box of B[center, radius] under ``norm``."""
-    half = radius / linf_lower_constant(norm)
-    return center - half, center + half
-
-
-def intersect_boxes(lo1, hi1, lo2, hi2):
-    lo = np.maximum(lo1, lo2)
-    hi = np.minimum(hi1, hi2)
-    return lo, hi
-
-
 def rejection_sample_two_balls(
     norm: NormSpec,
     c: np.ndarray,
@@ -75,12 +61,14 @@ def rejection_sample_two_balls(
     """Uniform sample of B[c, r] ∩ B[y, R] by box rejection.
 
     Returns (accepted points, accepted count, proposal count).  Proposals are
-    drawn uniformly from the intersection of the two balls' bounding boxes, so
-    accepted points are uniform on the intersection body.
+    drawn uniformly from the intersection of the two balls' bounding boxes
+    (B[x, s] fits in x +- s / linf_lower_constant per coordinate), so
+    accepted points are uniform on the intersection body.  When the boxes
+    are disjoint, or ``proposals`` is 0, no row is accepted.
     """
-    lo, hi = intersect_boxes(*ball_box(norm, c, r), *ball_box(norm, y, R))
-    if np.any(hi < lo) or proposals <= 0:
-        return np.empty((0, norm.dim)), 0, max(proposals, 0)
+    a = linf_lower_constant(norm)
+    lo = np.maximum(c - r / a, y - R / a)
+    hi = np.minimum(c + r / a, y + R / a)
     cand = rng.uniform(size=(proposals, norm.dim)) * (hi - lo) + lo
     keep = (eval_norm(norm, cand - c) <= r) & (eval_norm(norm, cand - y) <= R)
     pts = cand[keep]

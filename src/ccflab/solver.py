@@ -54,16 +54,18 @@ _DIM_CAP = 64
 class SolverOptions:
     """Knobs for :func:`chebyshev_center`.
 
-    ``max_iters`` bounds the ellipsoid iterations of each working-set round;
-    None picks 1000 + 50 n^2 in dimension n, since the iterations a round
-    needs grow as n^2.  The result is ``converged`` when its certified gap
-    is at most ``tol * max(1, radius)``.
+    ``max_iters`` (at least 1) bounds the ellipsoid iterations of each
+    working-set round; None picks 1000 + 50 n^2 in dimension n, since the
+    iterations a round needs grow as n^2.  The result is ``converged`` when
+    its certified gap is at most ``tol * max(1, radius)``.
     """
 
     max_iters: int | None = None
     tol: float = 1e-6
 
     def __post_init__(self):
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
 

@@ -25,9 +25,10 @@ from ccflab import (
     outer_radius,
     pnorm,
     verify_ccf_witness,
+    weighted_pnorm,
 )
 from ccflab.ccf import CENTER_FAILS, CONFIRMED, FARTHEST_FAILS, INDETERMINATE
-from ccflab.sampling import rng_stream
+from ccflab.sampling import rejection_sample_two_balls, rng_stream
 
 
 def l1_segment_witness_set():
@@ -164,6 +165,28 @@ class TestTwoBallSet:
         assert not report.containment_ok
         assert not report.all_ok
 
+    def test_disjoint_balls_accept_nothing(self):
+        # B[0, 1] and B[(5, 0), 1] are disjoint: no sample, every check false.
+        A = l1_segment_witness_set()
+        U = TwoBallSet(c=np.zeros(2), r=1.0, y=np.array([5.0, 0.0]), R=1.0, norm=pnorm(2, 2))
+        report = check_two_ball_properties(U, A, 500)
+        assert (report.accepted, report.proposals) == (0, 500)
+        assert not (report.containment_ok or report.sample_radius_ok
+                    or report.center_radius_ok or report.farthest_ok)
+        assert np.isnan([report.sample_radius, report.center_sample_radius,
+                         report.max_sample_dist_to_y]).all()
+
+    def test_zero_proposals_sample_nothing(self):
+        pts, accepted, proposed = rejection_sample_two_balls(
+            pnorm(2, 2), np.zeros(2), 1.0, np.array([0.5, 0.0]), 1.0, 0, rng_stream(0, "empty"))
+        assert pts.shape == (0, 2)
+        assert (accepted, proposed) == (0, 0)
+
+    def test_negative_proposals_rejected(self):
+        U = build_two_ball_set(l1_segment_witness_set(), [0.5, 0.5], 1.0, [0.0, 0.0])
+        with pytest.raises(ValueError, match="'proposals' must be at least 0"):
+            U.sample(-5)
+
     def test_rejected_when_center_not_farthest(self):
         # sqrt(5) > 2: the origin is not farthest from (0, 2)
         A = PointSet(pnorm(2, 2), [[1.0, 0.0], [-1.0, 0.0]])
@@ -228,6 +251,13 @@ class TestEstimateRtz:
         with pytest.raises(ValueError, match="t must"):
             estimate_r_tz(pnorm(2, 2), [1.0, 0.0], 1.5, 100)
 
+    def test_thin_intersection_flagged(self):
+        # weights (1e-6, 1): the bounding box is 1000 wide in x, the body a sliver.
+        est = estimate_r_tz(weighted_pnorm(2, (1e-6, 1.0)), [0.0, 1.0], 0.5, 2000)
+        assert est.sample_count < 1e-3 * est.proposals
+        assert est.flags == ("thin_intersection",)
+        assert estimate_r_tz(pnorm(2, 2), [0.0, 1.0], 0.5, 2000).flags == ()
+
     def test_round_trip(self):
         est = estimate_r_tz(pnorm(2, 2), [1.0, 0.0], 0.5, 500, seed=0)
         assert RtzEstimate.from_dict(est.to_dict()) == est
@@ -263,6 +293,12 @@ class TestCcnfScan:
         with pytest.raises(ValueError, match="nonempty"):
             ccnf_scan(pnorm(2, 2), 4, [], 100)
 
+    @pytest.mark.parametrize("z_count, samples, key", [(0, 100, "z_count"), (-2, 100, "z_count"),
+                                                       (1, 0, "samples")])
+    def test_nonpositive_counts_rejected(self, z_count, samples, key):
+        with pytest.raises(ValueError, match=f"'{key}' must be at least 1"):
+            ccnf_scan(pnorm(2, 2), z_count, [0.5], samples)
+
     def test_deterministic_and_json_round_trip(self):
         s1 = ccnf_scan(pnorm(2, 2), 3, [0.5, 1.0], 800, seed=9)
         s2 = ccnf_scan(pnorm(2, 2), 3, [0.5, 1.0], 800, seed=9)
@@ -297,6 +333,11 @@ class TestCapContainment:
     def test_non_unit_input_rejected(self):
         with pytest.raises(ValueError, match="unit sphere"):
             cap_containment_check(pnorm(2, 2), [2.0, 0.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("samples", [2, 0, -5])
+    def test_too_few_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="'samples' must be at least 3"):
+            cap_containment_check(pnorm(2, 4), [1.0, 0.0], [0.0, 1.0], samples)
 
     def test_dim_guard(self):
         with pytest.raises(ValueError, match="dim 2"):

@@ -1,7 +1,9 @@
+import importlib
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -160,12 +162,24 @@ class TestExitCodes:
         ("cap-check", {"norm": norm_to_dict(pnorm(2, 4)), "u": [1.0, 0.0]}, "v"),
         ("cap-check", {"norm": norm_to_dict(pnorm(2, 4)), "u": [1.0, 0.0], "v": [0.0, 1.0],
                        "samples": None}, "samples"),
+        ("scan", {"norm": norm_to_dict(pnorm(2, 2)), "z_count": 1, "t_grid": [0.5], "samples": 0}, "samples"),
+        ("scan", {"norm": norm_to_dict(pnorm(2, 2)), "z_count": 0}, "z_count"),
+        ("scan", {"norm": norm_to_dict(pnorm(2, 2)), "z_count": -2}, "z_count"),
+        ("cap-check", {"norm": norm_to_dict(pnorm(2, 4)), "u": [1.0, 0.0], "v": [0.0, 1.0],
+                       "samples": -5}, "samples"),
     ])
     def test_bad_input_key_exit_two(self, capsys, command, payload, key):
         code, out, err = run(capsys, command, "--input", json.dumps(payload))
         assert code == 2
         assert out == ""
         assert repr(key) in err
+
+    @pytest.mark.parametrize("max_iters", ["0", "-5"])
+    def test_nonpositive_max_iters_exit_two(self, capsys, max_iters):
+        code, out, err = run(capsys, "center", "--input", json.dumps(EUCLID_PAIR), "--max-iters", max_iters)
+        assert code == 2
+        assert out == ""
+        assert "max_iters must be at least 1" in err
 
     @pytest.mark.parametrize("missing", ["p", "weights"])
     @pytest.mark.parametrize("command", ["center", "scan"])
@@ -310,6 +324,49 @@ class TestFlags:
         code, _, err = run(capsys, "center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver=-1")
         assert code == 2
         assert "tol must be positive" in err
+
+
+# The spans perfbench/run.py reads in layer_metrics and OBSERVERS.  Its tracer
+# times each public function of a layer (the names in its __all__, and
+# cli.main), so a span whose function leaves __all__ silently reads zero.
+BENCHMARK_SPANS = (
+    "norms.eval_norm", "norms.norm_subgradient", "sampling.rejection_sample_two_balls",
+    "sets.outer_radius", "sets.farthest_set", "sets.diameter",
+    "solver.chebyshev_center", "solver.symmetric_line_minimize",
+    "ccf.estimate_r_tz", "ccf.verify_ccf_witness", "ccf.ccnf_scan", "cli.main",
+)
+
+
+class TestBenchmarkContract:
+    @pytest.mark.parametrize("span", BENCHMARK_SPANS)
+    def test_traced_span_is_a_public_function(self, span):
+        layer, name = span.split(".")
+        module = importlib.import_module(f"ccflab.{layer}")
+        fn = getattr(module, name)
+        assert isinstance(fn, types.FunctionType)
+        assert fn.__module__ == module.__name__
+        assert layer == "cli" or name in module.__all__
+
+    def test_scan_result_takes_benchmark_keywords(self):
+        # perfbench/workloads.py rebuilds a ScanResult from the rows of several scans.
+        scan = ccnf_scan(pnorm(2, 2), 1, (0.5,), 400)
+        union = ccflab.ccf.ScanResult(
+            norm=scan.norm, rows=scan.rows, t_grid=scan.t_grid, samples=scan.samples, seed=0,
+            ccnf_threshold=ccflab.ccf.CCNF_EVIDENCE_MAX_RATIO, ccf_threshold=ccflab.ccf.CCF_SIGNAL_MIN_RATIO,
+        )
+        assert union == scan
+
+    def test_library_names_benchmark_calls(self):
+        for name in ("pnorm", "ccnf_scan", "PointSet", "brute_force_center"):
+            assert name in ccflab.__all__
+        assert ccflab.norms.linf_lower_constant(pnorm(2, 2)) == 1.0
+
+    def test_package_exports_every_layer_name_once(self):
+        layers = ("norms", "sets", "solver", "ccf", "reproductions")
+        names = [name for layer in layers for name in getattr(ccflab, layer).__all__]
+        assert ccflab.__all__ == names
+        assert len(set(names)) == len(names)
+        assert all(hasattr(ccflab, name) for name in names)
 
 
 class TestReproduceCommand:

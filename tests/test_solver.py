@@ -87,6 +87,11 @@ class TestChebyshevCenter:
         A = PointSet(pnorm(2, 1.5), rng_stream(2, "det").normal(size=(6, 2)))
         assert chebyshev_center(A) == chebyshev_center(A)
 
+    @pytest.mark.parametrize("max_iters", [0, -5])
+    def test_nonpositive_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            SolverOptions(max_iters=max_iters)
+
     def test_nonpositive_tol_rejected(self):
         with pytest.raises(ValueError, match="tol"):
             SolverOptions(tol=0.0)
