@@ -20,7 +20,7 @@ import numpy as np
 from .codec import Record
 from .norms import NormSpec, as_vector, eval_norm
 from .sampling import rejection_sample_two_balls, rng_stream, sample_unit_vectors
-from .sets import DEFAULT_ACHIEVER_TOL, PointSet, farthest_set, outer_radius
+from .sets import DEFAULT_ACHIEVER_TOL, PointSet, outer_radius
 from .solver import CenterResult, SolverOptions, chebyshev_center
 
 __all__ = [
@@ -61,8 +61,6 @@ CCF_SIGNAL_MIN_RATIO = 0.9995
 @dataclass(frozen=True, eq=False)
 class CcfWitness(Record):
     """A candidate CCF triple: a set, a claimed center in it, a viewpoint."""
-
-    _keys = ("set", "center_index", "viewpoint", "center_tol", "farthest_tol")
 
     set: PointSet
     center_index: int
@@ -133,7 +131,7 @@ def verify_ccf_witness(w: CcfWitness, opts: SolverOptions | None = None) -> Witn
         status = INDETERMINATE
     elif center_margin < 0.0:
         status = CENTER_FAILS
-    elif w.center_index not in farthest_set(A, w.viewpoint, w.farthest_tol).achievers:
+    elif d_claimed < float(np.max(dists)) - w.farthest_tol:  # farthest_set's achiever rule
         status = FARTHEST_FAILS
     else:
         status = CONFIRMED
@@ -167,8 +165,6 @@ def amplify_witness(A: PointSet, c, z, t: float, tol: float = DEFAULT_ACHIEVER_T
 @dataclass(frozen=True, eq=False)
 class TwoBallSet(Record):
     """The body B[c, r] ∩ B[y, R] with a deterministic rejection sampler."""
-
-    _keys = ("c", "r", "y", "R", "norm", "sampler_seed")
 
     c: np.ndarray
     r: float
@@ -514,29 +510,14 @@ def cap_containment_check(norm: NormSpec, u, v, samples: int = 256) -> float:
     if float(np.linalg.norm(au + tt * seg)) < 1e-9:
         raise ValueError("rejected: the chord passes through the origin")
 
+    # The chord line misses the origin, so the rays from the origin that
+    # cross the chord turn by less than pi: the far-side arc is the one from
+    # u to v that turns by less than pi.
     phi_u = float(np.arctan2(au[1], au[0]))
     phi_v = float(np.arctan2(av[1], av[0]))
     delta = (phi_v - phi_u) % (2.0 * np.pi)
-
-    def arc_points(start, sweep, count):
-        angles = start + sweep * np.linspace(0.0, 1.0, count)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        lens = eval_norm(norm, dirs)
-        return dirs / lens[:, None]
-
-    # The chord splits the sphere into two arcs; pick the one on the far side
-    # of the chord line from the origin (test the arc midpoint).
-    normal = np.array([-seg[1], seg[0]])
-    offset = float(np.dot(normal, au))
-
-    def far_side(pts):
-        mid = pts[len(pts) // 2]
-        return (np.dot(normal, mid) - offset) * offset > 0.0
-
-    cand = arc_points(phi_u, delta, samples)
-    if not far_side(cand):
-        cand = arc_points(phi_u, delta - 2.0 * np.pi, samples)
-        if not far_side(cand):
-            raise ValueError("could not identify the far-side cap arc")
-    dists = eval_norm(norm, cand - w)
-    return float(np.max(dists) - r)
+    sweep = delta if delta < np.pi else delta - 2.0 * np.pi
+    angles = phi_u + sweep * np.linspace(0.0, 1.0, samples)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    cap = dirs / eval_norm(norm, dirs)[:, None]
+    return float(np.max(eval_norm(norm, cap - w)) - r)

@@ -71,6 +71,10 @@ EXIT_VERDICT = 1
 EXIT_INPUT = 2
 EXIT_INDETERMINATE = 3
 
+# The weighted discrete-measure space of the embedding reproduction, in
+# ``reproduce all`` and by default in ``reproduce embedding``.
+EMBEDDING_SPACE = WeightedLpSpace(3.0, (2.0, 0.5, 1.0, 3.0))
+
 
 class InputError(Exception):
     pass
@@ -81,10 +85,10 @@ def _load_input(raw: str):
     if raw.lstrip().startswith("{"):
         text, origin = raw, "<inline>"
     else:
-        path = Path(raw)
-        if not path.exists():
-            raise InputError(f"input file not found: {raw}")
-        text, origin = path.read_text(), raw
+        try:
+            text, origin = Path(raw).read_text(), raw
+        except (OSError, UnicodeDecodeError) as e:
+            raise InputError(f"cannot read input file {raw}: {e}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -113,8 +117,6 @@ def _solver_options(args) -> SolverOptions:
 
 @dataclass(frozen=True, eq=False)
 class FarthestInput(Record):
-    _keys = ("set", "viewpoint", "tol")
-
     set: PointSet
     viewpoint: np.ndarray
     tol: float = DEFAULT_ACHIEVER_TOL
@@ -122,8 +124,6 @@ class FarthestInput(Record):
 
 @dataclass(frozen=True, eq=False)
 class ScanInput(Record):
-    _keys = ("norm", "z_count", "t_grid", "samples")
-
     norm: NormSpec
     z_count: int = 16
     t_grid: tuple[float, ...] = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -132,8 +132,6 @@ class ScanInput(Record):
 
 @dataclass(frozen=True, eq=False)
 class CapInput(Record):
-    _keys = ("norm", "u", "v", "samples")
-
     norm: NormSpec
     u: np.ndarray
     v: np.ndarray
@@ -200,7 +198,7 @@ def reproduce_all(
     reports.append(sp_grid_check())
     for p in (1.5, 3.0, 4.0):
         reports.append(ap_ccf_check(p, 100.0, opts))
-    reports.append(embed_lp3(WeightedLpSpace(3.0, (2.0, 0.5, 1.0, 3.0)), (0, 1, 2), seed=seed, opts=opts))
+    reports.append(embed_lp3(EMBEDDING_SPACE, (0, 1, 2), seed=seed, opts=opts))
 
     scans = []
     for label, p in (("l2", 2.0), ("l3", 3.0), ("l1", 1.0)):
@@ -242,7 +240,7 @@ REPRODUCE_TARGETS = {
     "sp-grid": lambda args, opts: sp_grid_check(),
     "ap-witness": lambda args, opts: ap_ccf_check(1.5 if args.p is None else args.p, args.t, opts),
     "embedding": lambda args, opts: embed_lp3(
-        WeightedLpSpace(3.0 if args.p is None else args.p, tuple(map(float, args.weights.split(",")))),
+        WeightedLpSpace(EMBEDDING_SPACE.p if args.p is None else args.p, tuple(map(float, args.weights.split(",")))),
         (0, 1, 2), seed=args.seed, opts=opts,
     ),
 }
@@ -313,9 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--n", type=int, default=3, help="dimension for finite-dim")
     rep.add_argument("--trunc", type=int, default=10, help="truncation size for c0")
     rep.add_argument("--p", type=float, default=None,
-                     help="exponent (ap-witness default 1.5, embedding default 3.0)")
+                     help=f"exponent (ap-witness default 1.5, embedding default {EMBEDDING_SPACE.p:g})")
     rep.add_argument("--t", type=float, default=100.0)
-    rep.add_argument("--weights", default="2,0.5,1,3", help="comma-separated atom weights for embedding")
+    rep.add_argument("--weights", default=",".join(f"{w:g}" for w in EMBEDDING_SPACE.atom_weights),
+                     help="comma-separated atom weights for embedding (default %(default)s)")
 
     return parser
 

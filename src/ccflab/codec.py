@@ -1,14 +1,17 @@
 """One JSON codec for the result records, and the one JSON writer.
 
-A record is a frozen dataclass deriving from :class:`Record` that lists its
-JSON keys, in order, in ``_keys``.  A key names the attribute it holds; a
-``(key, attribute)`` pair renames it.  A key whose attribute is not a
-dataclass field is a derived property: it is written, and ignored when read
-back.  Values are encoded by type (arrays and tuples become lists, nested
-records recurse, norms go through :func:`norm_to_dict`) and decoded by each
-field's type annotation.  Decoding names a missing required key, and the key
-of a value that does not decode, and ignores unknown keys, so payloads that
-carry retired keys still load.
+A record is a frozen dataclass deriving from :class:`Record`.  Its JSON keys
+are its dataclass fields, in declaration order, unless its JSON differs from
+them; then it lists its keys, in order, in ``_keys``.  A key names the
+attribute it holds; a ``(key, attribute)`` pair renames it.  A key whose
+attribute is not a dataclass field is a derived property: it is written, and
+ignored when read back.  Values are encoded by type (arrays and tuples
+become lists, nested records recurse, norms go through :func:`norm_to_dict`)
+and decoded by each field's type annotation; an int, float, str or bool
+field takes only a JSON value of that type (a float takes any number), with
+no coercion.  Decoding names a missing required key, and the key of a value
+that does not decode, and ignores unknown keys, so payloads that carry
+retired keys still load.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .norms import NormSpec, norm_from_dict, norm_to_dict
+from .norms import NormSpec, json_scalar, norm_from_dict, norm_to_dict
 
 
 class Record:
     """Base of the result dataclasses: ``to_dict``, ``from_dict`` and ``==``."""
 
-    _keys: tuple = ()
+    _keys: tuple = ()  # empty: the keys are the dataclass fields
 
     def to_dict(self) -> dict:
         return {key: _encode(getattr(self, attr)) for key, attr, _, _ in _schema(type(self))}
@@ -68,7 +71,7 @@ def _schema(cls) -> tuple:
     hints = typing.get_type_hints(cls)
     fields = {f.name: f for f in dataclasses.fields(cls)}
     schema = []
-    for entry in cls._keys:
+    for entry in cls._keys or fields:
         key, attr = entry if isinstance(entry, tuple) else (entry, entry)
         f = fields.get(attr)
         if f is None:
@@ -89,7 +92,9 @@ def _decoder(hint):
         return norm_from_dict
     if issubclass(hint, Record):
         return hint.from_dict
-    return hint  # float, int, str, bool, dict
+    if hint is dict:
+        return dict
+    return functools.partial(json_scalar, hint)
 
 
 def _encode(value):

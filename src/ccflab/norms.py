@@ -54,6 +54,19 @@ def as_vector(x, dim: int, name: str = "x") -> np.ndarray:
     return arr
 
 
+def json_scalar(kind: type, value):
+    """``value`` as ``kind`` (int, float, str or bool) if it has that JSON type.
+
+    A float takes any JSON number, integers included; a boolean is a bool
+    and nothing else.  Anything else raises ValueError rather than being
+    coerced.
+    """
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _positive_weights(weights, what: str) -> tuple[float, ...]:
     """The weights as floats; all must be finite and positive, and one at least."""
     w = tuple(float(v) for v in weights)
@@ -352,26 +365,22 @@ def norm_to_dict(norm: NormSpec) -> dict:
     return {"dim": norm.dim, "family": _family_to_dict(norm.family)}
 
 
-def _family_from_dict(obj, dim: int) -> Family:
+def _family_from_dict(obj) -> Family:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"malformed norm family object: {obj!r}")
     tag, payload = next(iter(obj.items()))
     if tag == "pnorm":
-        p = INF if payload == "inf" else float(payload)
-        return PNorm(p)
+        return PNorm(INF if payload == "inf" else json_scalar(float, payload))
     if tag == "sum":
-        terms = tuple(
-            (float(w), norm_from_dict(child)) for w, child in payload
-        )
-        return SumComposite(terms)
+        return SumComposite(tuple((json_scalar(float, w), norm_from_dict(child)) for w, child in payload))
     if tag == "sup_plus_wl2":
-        return SupPlusWeightedL2(tuple(float(v) for v in payload))
+        return SupPlusWeightedL2(tuple(json_scalar(float, v) for v in payload))
     if tag == "wlp":
         for key in ("p", "weights"):
             if not isinstance(payload, dict) or key not in payload:
                 raise ValueError(f"wlp norm family is missing key {key!r}")
         return WeightedPNorm(
-            float(payload["p"]), tuple(float(v) for v in payload["weights"])
+            json_scalar(float, payload["p"]), tuple(json_scalar(float, v) for v in payload["weights"])
         )
     raise ValueError(f"unknown norm family tag: {tag!r}")
 
@@ -379,5 +388,4 @@ def _family_from_dict(obj, dim: int) -> Family:
 def norm_from_dict(obj) -> NormSpec:
     if not isinstance(obj, dict) or "dim" not in obj or "family" not in obj:
         raise ValueError(f"malformed norm spec object: {obj!r}")
-    dim = int(obj["dim"])
-    return NormSpec(dim, _family_from_dict(obj["family"], dim))
+    return NormSpec(json_scalar(int, obj["dim"]), _family_from_dict(obj["family"]))

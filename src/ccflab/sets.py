@@ -40,8 +40,6 @@ class PointSet(Record):
     enforced, to keep ingestion forgiving.
     """
 
-    _keys = ("norm", "points")
-
     norm: NormSpec
     points: np.ndarray
 
@@ -79,8 +77,6 @@ class FarthestQuery(Record):
     ``achievers`` indexes every point whose distance is within ``tolerance``
     of ``radius``; for a finite set it is never empty.
     """
-
-    _keys = ("viewpoint", "radius", "achievers", "tolerance")
 
     viewpoint: np.ndarray
     radius: float

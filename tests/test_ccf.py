@@ -63,6 +63,15 @@ class TestVerifyWitness:
         assert verdict.status == CONFIRMED
         assert verdict.farthest_margin > 0.0
 
+    # From (d, 0) the l1 distances are 1 - d to (1, 0) and to the claimed
+    # center (0.5, 0.5), and 1 + d to (0, 1): the center trails by 2d, which
+    # farthest_tol = 1e-3 forgives at d = 1e-4 and not at d = 1e-3.
+    @pytest.mark.parametrize("d, status", [(1e-4, CONFIRMED), (1e-3, FARTHEST_FAILS)])
+    def test_farthest_tol_decides_a_trailing_center(self, d, status):
+        verdict = verify_ccf_witness(CcfWitness(l1_segment_witness_set(), 2, [d, 0.0], farthest_tol=1e-3))
+        assert verdict.status == status
+        assert verdict.farthest_margin == pytest.approx(-2.0 * d, abs=1e-12)
+
     def test_indeterminate_on_solver_non_convergence(self):
         A = PointSet(pnorm(2, 1), [[1.0, 0.0], [0.0, 1.0], [0.3, -0.4]])
         opts = SolverOptions(max_iters=2)
@@ -325,6 +334,15 @@ class TestCapContainment:
         u = np.array([1.0, 0.0])
         v = np.array([0.0, 1.0])
         assert cap_containment_check(spec, u, v, 1000) <= 1e-9
+
+    # Chords inside a flat face of l1 or linf: the cap is the chord itself.
+    @pytest.mark.parametrize("p, u, v", [
+        (1.0, [1.0, 0.0], [0.0, 1.0]),
+        (1.0, [0.75, 0.25], [0.25, 0.75]),
+        (float("inf"), [1.0, -0.5], [1.0, 0.5]),
+    ])
+    def test_flat_face_chord_contained(self, p, u, v):
+        assert abs(cap_containment_check(pnorm(2, p), u, v)) <= 1e-12
 
     def test_chord_through_origin_rejected(self):
         with pytest.raises(ValueError, match="origin"):

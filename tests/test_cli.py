@@ -100,6 +100,25 @@ class TestExitCodes:
         code, _, err = run(capsys, "center", "--input", "/nonexistent/input.json")
         assert code == 2
 
+    def test_unreadable_input_exit_two(self, tmp_path, capsys):
+        code, out, err = run(capsys, "center", "--input", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert f"cannot read input file {tmp_path}" in err
+
+    # Chords inside a flat face of l1 or linf exited 2 ("could not identify
+    # the far-side cap arc"); their cap is the chord itself.
+    @pytest.mark.parametrize("p, u, v", [
+        (1, [1.0, 0.0], [0.0, 1.0]),
+        (1, [0.75, 0.25], [0.25, 0.75]),
+        ("inf", [1.0, -0.5], [1.0, 0.5]),
+    ])
+    def test_flat_face_chord_contained(self, capsys, p, u, v):
+        chord = {"norm": {"dim": 2, "family": {"pnorm": p}}, "u": u, "v": v}
+        code, out, _ = run(capsys, "cap-check", "--input", json.dumps(chord))
+        assert code == 0
+        assert json.loads(out)["contained"] is True
+
     @pytest.mark.parametrize("missing", ["center_index", "viewpoint"])
     def test_witness_missing_key_exit_two(self, capsys, missing):
         witness = {k: v for k, v in L1_WITNESS.items() if k != missing}
@@ -167,6 +186,16 @@ class TestExitCodes:
         ("scan", {"norm": norm_to_dict(pnorm(2, 2)), "z_count": -2}, "z_count"),
         ("cap-check", {"norm": norm_to_dict(pnorm(2, 4)), "u": [1.0, 0.0], "v": [0.0, 1.0],
                        "samples": -5}, "samples"),
+        # Wrong-typed scalars are rejected, not coerced.
+        ("ccf-verify", {**L1_WITNESS, "center_index": 2.7}, "center_index"),
+        ("ccf-verify", {**L1_WITNESS, "center_index": "2"}, "center_index"),
+        ("ccf-verify", {**L1_WITNESS, "center_index": True}, "center_index"),
+        ("scan", {"norm": norm_to_dict(pnorm(2, 2)), "z_count": 1.9, "t_grid": [0.5], "samples": 400}, "z_count"),
+        ("scan", {"norm": norm_to_dict(pnorm(2, 2)), "z_count": 1, "t_grid": [0.5], "samples": 400.7}, "samples"),
+        ("farthest", {"set": EUCLID_PAIR, "viewpoint": [0.0, 2.0], "tol": "0.5"}, "tol"),
+        ("farthest", {"set": EUCLID_PAIR, "viewpoint": [0.0, 2.0], "tol": True}, "tol"),
+        ("center", {**EUCLID_PAIR, "norm": {"dim": 2.5, "family": {"pnorm": 2}}}, "norm"),
+        ("center", {**EUCLID_PAIR, "norm": {"dim": 2, "family": {"pnorm": True}}}, "norm"),
     ])
     def test_bad_input_key_exit_two(self, capsys, command, payload, key):
         code, out, err = run(capsys, command, "--input", json.dumps(payload))

@@ -1,9 +1,12 @@
 """Pinned JSON text of the CLI outputs: key order, omitted keys and number
 formatting, byte for byte.
 
-The expected files under ``golden/`` were written by the hand-coded
-serializers that the dataclass codec replaced, so the codec must reproduce
-them exactly.
+The expected files under ``golden/`` were written by the code that each
+refactor replaced: the first six by the hand-coded serializers that the
+dataclass codec replaced, the embedding, ap-witness and cap-check files by
+the trial-and-retry cap arc, the second farthest pass of the witness check
+and the per-row embedding projection.  The refactors must reproduce them
+exactly.
 """
 
 import json
@@ -47,6 +50,18 @@ CASES = {
         json.dumps({"norm": {"dim": 2, "family": {"pnorm": 2}}, "z_count": 1, "t_grid": [0.5], "samples": 400}),
     ],
     "reproduce_c0": ["reproduce", "c0", "--trunc", "5"],
+    "reproduce_embedding": ["reproduce", "embedding"],
+    "reproduce_ap_witness": ["reproduce", "ap-witness", "--p", "3"],
+    # A strictly convex chord whose cap turns clockwise from u to v.
+    "cap_check": [
+        "cap-check",
+        "--input",
+        json.dumps({
+            "norm": {"dim": 2, "family": {"pnorm": 1.5}},
+            "u": [1.0, 0.0],
+            "v": [0.18889787040906986, -0.9444893520453493],
+        }),
+    ],
 }
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +278,27 @@ class TestJsonCodec:
     def test_wlp_missing_key_named(self, payload, missing):
         with pytest.raises(ValueError, match=f"missing key '{missing}'"):
             norm_from_dict({"dim": 2, "family": {"wlp": payload}})
+
+
+    # Integers count as numbers; booleans and strings do not, and a
+    # dimension must be an integer.
+    @pytest.mark.parametrize("obj", [
+        {"dim": 2.5, "family": {"pnorm": 2}},
+        {"dim": "2", "family": {"pnorm": 2}},
+        {"dim": True, "family": {"pnorm": 2}},
+        {"dim": 2, "family": {"pnorm": True}},
+        {"dim": 2, "family": {"pnorm": "2"}},
+        {"dim": 2, "family": {"sum": [["1", {"dim": 2, "family": {"pnorm": 1}}]]}},
+        {"dim": 2, "family": {"sup_plus_wl2": [1.0, False]}},
+        {"dim": 2, "family": {"wlp": {"p": "3", "weights": [1.0, 2.0]}}},
+    ], ids=json.dumps)
+    def test_wrong_typed_scalar_rejected(self, obj):
+        with pytest.raises(ValueError, match="expected (int|float), got"):
+            norm_from_dict(obj)
+
+    def test_integer_exponent_and_inf_string_accepted(self):
+        assert norm_from_dict({"dim": 2, "family": {"pnorm": 2}}) == pnorm(2, 2.0)
+        assert norm_from_dict({"dim": 2, "family": {"pnorm": "inf"}}) == pnorm(2, INF)
 
 
 def test_linf_lower_constant_bounds_hold():
