@@ -12,15 +12,14 @@ density, never a proof.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Record
+from .codec import Record, csv_text
 from .norms import NormSpec, as_vector, eval_norm
 from .sampling import rejection_sample_two_balls, rng_stream, sample_unit_vectors
-from .sets import DEFAULT_ACHIEVER_TOL, PointSet, outer_radius
+from .sets import DEFAULT_ACHIEVER_TOL, PointSet, _achievers, outer_radius
 from .solver import CenterResult, SolverOptions, chebyshev_center
 
 __all__ = [
@@ -131,7 +130,7 @@ def verify_ccf_witness(w: CcfWitness, opts: SolverOptions | None = None) -> Witn
         status = INDETERMINATE
     elif center_margin < 0.0:
         status = CENTER_FAILS
-    elif d_claimed < float(np.max(dists)) - w.farthest_tol:  # farthest_set's achiever rule
+    elif w.center_index not in _achievers(dists, w.farthest_tol):
         status = FARTHEST_FAILS
     else:
         status = CONFIRMED
@@ -145,19 +144,20 @@ def verify_ccf_witness(w: CcfWitness, opts: SolverOptions | None = None) -> Witn
     )
 
 
-def amplify_witness(A: PointSet, c, z, t: float, tol: float = DEFAULT_ACHIEVER_TOL) -> np.ndarray:
+def amplify_witness(A: PointSet, c, z, t: float) -> np.ndarray:
     """Push a farthest-point viewpoint arbitrarily far away.
 
     Given that ``c`` is farthest in A from ``z``, the point y = t*z + (1-t)*c
     (t >= 1) keeps c farthest while ||y - c|| = t * ||z - c|| grows linearly
-    in t.  The precondition is checked and violations are rejected.
+    in t.  The precondition is checked, up to DEFAULT_ACHIEVER_TOL, and
+    violations are rejected.
     """
     if t < 1.0:
         raise ValueError(f"amplification factor must be >= 1, got {t}")
     ac = as_vector(c, A.dim, "c")
     az = as_vector(z, A.dim, "z")
     d_c = float(eval_norm(A.norm, ac - az))
-    if d_c < outer_radius(A, az) - tol:
+    if d_c < outer_radius(A, az) - DEFAULT_ACHIEVER_TOL:
         raise ValueError("precondition violated: c is not farthest in A from z")
     return t * az + (1.0 - t) * ac
 
@@ -198,25 +198,24 @@ class TwoBallSet(Record):
         )
 
 
-def build_two_ball_set(
-    A: PointSet, c, r: float, y, *, tol: float = 1e-9, seed: int = 0
-) -> TwoBallSet:
+def build_two_ball_set(A: PointSet, c, r: float, y, *, seed: int = 0) -> TwoBallSet:
     """Construct B[c, r] ∩ B[y, R] with R = ||c - y||.
 
     ``r`` must be a certified Chebyshev radius for A with center ``c``, and
     ``c`` must be farthest in A from ``y``; the construction rejects inputs
-    where r > R + tol or where the farthest precondition fails.
+    where r > R or where the farthest precondition fails, each up to
+    DEFAULT_ACHIEVER_TOL.
     """
     ac = as_vector(c, A.dim, "c")
     ay = as_vector(y, A.dim, "y")
     R = float(eval_norm(A.norm, ac - ay))
-    if r > R + tol:
+    if r > R + DEFAULT_ACHIEVER_TOL:
         raise ValueError(
             f"rejected: r = {r} exceeds R = ||c - y|| = {R}; "
             "the claimed center cannot be farthest from y"
         )
     r_y = outer_radius(A, ay)
-    if R < r_y - tol:
+    if R < r_y - DEFAULT_ACHIEVER_TOL:
         raise ValueError(f"rejected: some point of A is farther from y than c is ({r_y} > {R})")
     return TwoBallSet(c=ac, r=float(r), y=ay, R=R, norm=A.norm, sampler_seed=seed)
 
@@ -262,9 +261,10 @@ def check_two_ball_properties(
     A: PointSet,
     samples: int,
     opts: SolverOptions | None = None,
-    tol: float = 1e-9,
 ) -> TwoBallReport:
-    """Exercise the two-ball body's containment and radius properties."""
+    """Exercise the two-ball body's containment and radius properties, each
+    up to DEFAULT_ACHIEVER_TOL."""
+    tol = DEFAULT_ACHIEVER_TOL
     d_c = eval_norm(A.norm, A.points - U.c)
     d_y = eval_norm(A.norm, A.points - U.y)
     containment = bool(np.all(d_c <= U.r + tol) and np.all(d_y <= U.R + tol))
@@ -422,26 +422,11 @@ class ScanResult(Record):
         return "inconclusive"
 
     def to_csv(self) -> str:
-        dim = self.norm.dim
-        buf = io.StringIO()
-        cols = [f"z_{i + 1}" for i in range(dim)]
-        buf.write(",".join(cols + ["t", "r_hat", "ratio", "samples", "accept_ratio"]) + "\n")
-        for row in self.rows:
-            z = [repr(float(v)) for v in row.z]
-            buf.write(
-                ",".join(
-                    z
-                    + [
-                        repr(row.t),
-                        repr(row.r_hat),
-                        repr(row.ratio),
-                        str(self.samples),
-                        repr(row.accept_ratio),
-                    ]
-                )
-                + "\n"
-            )
-        return buf.getvalue()
+        header = [f"z_{i + 1}" for i in range(self.norm.dim)] + ["t", "r_hat", "ratio", "samples", "accept_ratio"]
+        return csv_text([header] + [
+            [*map(float, row.z), row.t, row.r_hat, row.ratio, self.samples, row.accept_ratio]
+            for row in self.rows
+        ])
 
 
 def ccnf_scan(

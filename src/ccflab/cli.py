@@ -3,14 +3,16 @@
 Each subcommand reads one JSON object (``--input``: a path, or inline JSON
 starting with ``{``), decodes it with :mod:`ccflab.codec` into a record, runs
 the solver / ccf machinery, and emits JSON (CSV for ``scan --format csv``).
+Inputs are standard JSON: ``NaN``, ``Infinity`` and ``-Infinity`` are
+rejected, and so is a ``--tol`` value that is not finite.
 Exit codes separate mathematical verdicts from operational errors:
 
 * 0: success / verdict positive
 * 1: verdict negative (e.g. a witness was not confirmed, a reproduction
   check failed)
-* 2: input error (malformed JSON; a missing key, a value of the wrong
-  type or a count below its minimum, which the error names; unknown norm
-  family, bad arguments)
+* 2: input error (malformed or non-standard JSON; a missing key, a value
+  of the wrong type or a count below its minimum, which the error names;
+  unknown norm family, bad arguments)
 * 3: solver indeterminate (non-convergence)
 
 Outputs are deterministic for a fixed seed and are written atomically
@@ -76,27 +78,28 @@ EXIT_INDETERMINATE = 3
 EMBEDDING_SPACE = WeightedLpSpace(3.0, (2.0, 0.5, 1.0, 3.0))
 
 
-class InputError(Exception):
-    pass
-
-
 def _load_input(raw: str):
-    """Parse --input as inline JSON (leading '{') or as a file path."""
+    """Parse --input as inline JSON (leading '{') or as a file path; standard
+    JSON only, so NaN, Infinity and -Infinity are rejected."""
     if raw.lstrip().startswith("{"):
         text, origin = raw, "<inline>"
     else:
         try:
             text, origin = Path(raw).read_text(), raw
         except (OSError, UnicodeDecodeError) as e:
-            raise InputError(f"cannot read input file {raw}: {e}") from None
+            raise ValueError(f"cannot read input file {raw}: {e}") from None
+
+    def reject(constant: str):
+        raise ValueError(f"{constant} in {origin} is not standard JSON")
+
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as e:
-        raise InputError(
+        raise ValueError(
             f"malformed JSON in {origin}: line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
     if not isinstance(obj, dict):
-        raise InputError(f"input in {origin} must be a JSON object, got {type(obj).__name__}")
+        raise ValueError(f"input in {origin} must be a JSON object, got {type(obj).__name__}")
     return obj
 
 
@@ -266,9 +269,12 @@ def _tol_arg(name: str):
         if not sep or key.strip() != name:
             raise argparse.ArgumentTypeError(f"expected {name}=VALUE, got {text!r}")
         try:
-            return float(value)
+            tol = float(value)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{name}: not a number: {value!r}") from None
+            tol = np.nan
+        if not np.isfinite(tol):
+            raise argparse.ArgumentTypeError(f"{name}: not a finite number: {value!r}")
+        return tol
 
     return parse
 
@@ -323,7 +329,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (InputError, ValueError) as e:
+    except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INPUT
 

@@ -1,4 +1,5 @@
-"""One JSON codec for the result records, and the one JSON writer.
+"""One JSON codec for the result records, the one JSON writer and the one
+CSV writer.
 
 A record is a frozen dataclass deriving from :class:`Record`.  Its JSON keys
 are its dataclass fields, in declaration order, unless its JSON differs from
@@ -8,10 +9,13 @@ attribute is not a dataclass field is a derived property: it is written, and
 ignored when read back.  Values are encoded by type (arrays and tuples
 become lists, nested records recurse, norms go through :func:`norm_to_dict`)
 and decoded by each field's type annotation; an int, float, str or bool
-field takes only a JSON value of that type (a float takes any number), with
-no coercion.  Decoding names a missing required key, and the key of a value
-that does not decode, and ignores unknown keys, so payloads that carry
-retired keys still load.
+field takes only a JSON value of that type (a float takes any number), and
+an array field only nested lists of numbers, with no coercion.  Decoding
+names a missing required key, and the key of a value that does not decode,
+and ignores unknown keys, so payloads that carry retired keys still load.
+
+:func:`json_text` and :func:`csv_text` give the text of every JSON and CSV
+artifact, and :func:`write_text` writes it.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ def _decoder(hint):
         item = _decoder(typing.get_args(hint)[0])
         return lambda v: tuple(item(x) for x in v)
     if hint is np.ndarray:
-        return lambda v: np.asarray(v, dtype=float)
+        return lambda v: np.asarray(_numbers(v), dtype=float)
     if hint is NormSpec:
         return norm_from_dict
     if issubclass(hint, Record):
@@ -95,6 +99,13 @@ def _decoder(hint):
     if hint is dict:
         return dict
     return functools.partial(json_scalar, hint)
+
+
+def _numbers(value):
+    """A nested JSON list with each leaf checked to be a number, at any depth."""
+    if isinstance(value, list):
+        return [_numbers(v) for v in value]
+    return json_scalar(float, value)
 
 
 def _encode(value):
@@ -112,6 +123,13 @@ def _encode(value):
 def json_text(payload) -> str:
     """The text of every JSON artifact: two-space indent, trailing newline."""
     return json.dumps(payload, indent=2) + "\n"
+
+
+def csv_text(rows) -> str:
+    """The text of every CSV artifact: cells joined by commas, strings as they
+    are and numbers by ``repr``, and a newline after each row.  Pass Python
+    floats: numpy 2 scalars repr as ``np.float64(...)``."""
+    return "".join(",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n" for row in rows)
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -42,16 +42,21 @@ __all__ = [
 INF = float("inf")
 
 
-def as_vector(x, dim: int, name: str = "x") -> np.ndarray:
-    """Validate and convert ``x`` to a finite float vector of length ``dim``."""
+def _as_batch(x, dim: int, name: str = "x", ndim: int | None = None) -> np.ndarray:
+    """``x`` as a float array of shape (..., dim) with finite entries, and
+    with exactly ``ndim`` axes when that is given: the one array rule."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != dim:
-        raise ValueError(
-            f"{name} must be a vector of dimension {dim}, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim == 0 or arr.shape[-1] != dim or (ndim is not None and arr.ndim != ndim):
+        rank = "an array" if ndim is None else f"a {ndim}-axis array"
+        raise ValueError(f"{name} must be {rank} of dimension {dim}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_vector(x, dim: int, name: str = "x") -> np.ndarray:
+    """``x`` as a finite float vector of length ``dim``."""
+    return _as_batch(x, dim, name, ndim=1)
 
 
 def json_scalar(kind: type, value):
@@ -73,18 +78,6 @@ def _positive_weights(weights, what: str) -> tuple[float, ...]:
     if not w or any(not (v > 0.0) or not np.isfinite(v) for v in w):
         raise ValueError(f"{what} weights must all be positive")
     return w
-
-
-def _as_batch(x, dim: int, name: str = "x") -> np.ndarray:
-    """Like :func:`as_vector` but accepts stacked inputs of shape (..., dim)."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] != dim:
-        raise ValueError(
-            f"{name} must have trailing dimension {dim}, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,11 @@ radius and diameter definitions is an exact maximum.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Record
+from .codec import Record, csv_text
 from .norms import NormSpec, _as_batch, as_vector, eval_norm
 
 __all__ = [
@@ -27,7 +26,7 @@ __all__ = [
 ]
 
 # All benchmark geometries have O(1) magnitudes, so achiever detection uses an
-# absolute tolerance by default.
+# absolute tolerance by default, as do the checks of the two-ball reduction.
 DEFAULT_ACHIEVER_TOL = 1e-9
 
 
@@ -44,16 +43,9 @@ class PointSet(Record):
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        if pts.ndim == 1 and self.norm.dim == 1:
-            pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != self.norm.dim:
-            raise ValueError(
-                f"points must have shape (m, {self.norm.dim}) with m >= 1, "
-                f"got {np.shape(self.points)}"
-            )
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points contain non-finite entries")
+        pts = _as_batch(self.points, self.norm.dim, "points", ndim=2).copy()
+        if not len(pts):
+            raise ValueError("points must hold at least one point")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -94,15 +86,20 @@ def outer_radius(A: PointSet, x) -> float:
     return float(np.max(_distances_from(A, ax)))
 
 
+def _achievers(dists: np.ndarray, tol: float) -> tuple[int, ...]:
+    """The farthest points: the indices of the distances within ``tol`` of
+    the largest.  farthest_set, the solver's achievers and witness
+    verification all decide by this rule."""
+    return tuple(int(i) for i in np.flatnonzero(dists >= np.max(dists) - tol))
+
+
 def farthest_set(A: PointSet, x, tol: float = DEFAULT_ACHIEVER_TOL) -> FarthestQuery:
     """All indices achieving the outer radius at ``x`` up to ``tol``."""
     if not (tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol}")
     ax = as_vector(x, A.dim)
     dists = _distances_from(A, ax)
-    radius = float(np.max(dists))
-    achievers = tuple(int(i) for i in np.flatnonzero(dists >= radius - tol))
-    return FarthestQuery(ax, radius, achievers, tol)
+    return FarthestQuery(ax, float(np.max(dists)), _achievers(dists, tol), tol)
 
 
 def diameter(A: PointSet) -> float:
@@ -132,11 +129,7 @@ def is_centerable(A: PointSet, radius: float, tol: float) -> bool:
 
 def distance_matrix_csv(A: PointSet, viewpoints) -> str:
     """CSV of distances: one row per point, one column per viewpoint."""
-    vps = _as_batch(np.atleast_2d(np.asarray(viewpoints, dtype=float)), A.dim, "viewpoints")
-    buf = io.StringIO()
-    labels = ["|".join(repr(float(c)) for c in vp) for vp in vps]
-    buf.write("point," + ",".join(labels) + "\n")
-    for i, pt in enumerate(A.points):
-        row = eval_norm(A.norm, vps - pt)
-        buf.write(f"{i}," + ",".join(f"{float(d)!r}" for d in row) + "\n")
-    return buf.getvalue()
+    vps = _as_batch(np.atleast_2d(viewpoints), A.dim, "viewpoints", ndim=2)
+    rows = [["point"] + ["|".join(repr(float(c)) for c in vp) for vp in vps]]
+    rows += [[i, *map(float, eval_norm(A.norm, vps - pt))] for i, pt in enumerate(A.points)]
+    return csv_text(rows)

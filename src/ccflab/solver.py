@@ -30,7 +30,7 @@ import numpy as np
 
 from .codec import Record
 from .norms import as_vector, eval_norm, linf_lower_constant, norm_subgradient
-from .sets import DEFAULT_ACHIEVER_TOL, PointSet
+from .sets import DEFAULT_ACHIEVER_TOL, PointSet, _achievers
 
 __all__ = [
     "SolverOptions",
@@ -198,12 +198,10 @@ def _assemble(A, center, gap_lb, iterations, flags=(), dists=None) -> CenterResu
     if dists is None:
         dists = eval_norm(A.norm, A.points - center)
     radius = float(np.max(dists))  # outer_radius(A, center), bit for bit
-    tol = max(DEFAULT_ACHIEVER_TOL, 1e-12 * radius)
-    achievers = tuple(int(i) for i in np.flatnonzero(dists >= radius - tol))
     return CenterResult(
         center=center,
         radius=radius,
-        achieving_indices=achievers,
+        achieving_indices=_achievers(dists, max(DEFAULT_ACHIEVER_TOL, 1e-12 * radius)),
         gap=max(radius - gap_lb, 0.0),
         iterations=int(iterations),
         flags=flags,

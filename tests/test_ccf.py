@@ -207,6 +207,12 @@ class TestTwoBallSet:
         with pytest.raises(ValueError, match="exceeds R"):
             build_two_ball_set(A, [0.5, 0.5], 2.0, [0.6, 0.6])
 
+    @pytest.mark.parametrize("r, R, match", [(-0.5, 1.0, "nonnegative"), (0.5, -1.0, "nonnegative"),
+                                             (1.5, 1.0, "exceeds R")])
+    def test_invalid_radii_rejected(self, r, R, match):
+        with pytest.raises(ValueError, match=match):
+            TwoBallSet(c=np.zeros(2), r=r, y=np.array([1.0, 0.0]), R=R, norm=pnorm(2, 2))
+
     def test_full_reduction_from_confirmed_witness(self):
         # confirmed witness -> amplified viewpoint -> two-ball body properties
         p = 1.5
@@ -301,6 +307,11 @@ class TestCcnfScan:
     def test_empty_t_grid_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             ccnf_scan(pnorm(2, 2), 4, [], 100)
+
+    @pytest.mark.parametrize("t_grid", [[0.5, 0.0], [-0.5], [1.5]])
+    def test_t_outside_unit_interval_rejected(self, t_grid):
+        with pytest.raises(ValueError, match=r"t values must lie in \(0, 1\]"):
+            ccnf_scan(pnorm(2, 2), 1, t_grid, 100)
 
     @pytest.mark.parametrize("z_count, samples, key", [(0, 100, "z_count"), (-2, 100, "z_count"),
                                                        (1, 0, "samples")])

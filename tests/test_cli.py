@@ -39,6 +39,8 @@ EUCLID_BAD_WITNESS = {
 }
 
 
+CAP_INPUT = {"norm": norm_to_dict(pnorm(2, 4)), "u": [1.0, 0.0], "v": [0.0, 1.0]}
+
 # Three points in R^6 under l1 + l2/2 whose center has all three as achievers;
 # multi-start subgradient descent stopped at radius 2.0937767 with one.
 SUM_6D_SET = {
@@ -203,6 +205,41 @@ class TestExitCodes:
         assert out == ""
         assert repr(key) in err
 
+    # Array entries are JSON numbers only: a boolean or a numeric string is
+    # rejected, not read as 1.0 or 0.0, at any depth.
+    @pytest.mark.parametrize("command, payload, keys", [
+        ("farthest", {"set": {**EUCLID_PAIR, "points": [[True, "0"], [-1, 0]]}, "viewpoint": ["0", True]},
+         ["set", "points"]),
+        ("center", {**EUCLID_PAIR, "points": [[1.0, 0.0], [-1.0, False]]}, ["points"]),
+        ("center", {**EUCLID_PAIR, "points": [[1.0, 0.0], ["-1", 0.0]]}, ["points"]),
+        ("ccf-verify", {**L1_WITNESS, "viewpoint": [0.0, True]}, ["viewpoint"]),
+        ("ccf-verify", {**L1_WITNESS, "viewpoint": ["0.0", 0.0]}, ["viewpoint"]),
+        ("cap-check", {**CAP_INPUT, "u": [True, 0.0]}, ["u"]),
+        ("cap-check", {**CAP_INPUT, "u": ["1", 0.0]}, ["u"]),
+    ])
+    def test_non_number_array_entry_exit_two(self, capsys, command, payload, keys):
+        code, out, err = run(capsys, command, "--input", json.dumps(payload))
+        assert code == 2
+        assert out == ""
+        assert "expected float" in err
+        assert all(repr(key) in err for key in keys)
+
+    def test_flat_dim_one_point_list_exit_two(self, capsys):
+        flat = {"norm": {"dim": 1, "family": {"pnorm": 2}}, "points": [0.0, 1.0, 3.0]}
+        code, out, err = run(capsys, "center", "--input", json.dumps(flat))
+        assert code == 2
+        assert out == ""
+        assert "points must be a 2-axis array of dimension 1" in err
+        nested = {**flat, "points": [[0.0], [1.0], [3.0]]}
+        assert run(capsys, "center", "--input", json.dumps(nested))[0] == 0
+
+    @pytest.mark.parametrize("index", [3, -1])
+    def test_center_index_out_of_range_exit_two(self, capsys, index):
+        code, out, err = run(capsys, "ccf-verify", "--input", json.dumps({**L1_WITNESS, "center_index": index}))
+        assert code == 2
+        assert out == ""
+        assert f"center_index {index} out of range" in err
+
     @pytest.mark.parametrize("max_iters", ["0", "-5"])
     def test_nonpositive_max_iters_exit_two(self, capsys, max_iters):
         code, out, err = run(capsys, "center", "--input", json.dumps(EUCLID_PAIR), "--max-iters", max_iters)
@@ -313,7 +350,6 @@ def _argv_id(argv):
     return " ".join(argv[:1] + argv[3:] if argv[1:2] == ["--input"] else argv)
 
 
-CAP_INPUT = {"norm": norm_to_dict(pnorm(2, 4)), "u": [1.0, 0.0], "v": [0.0, 1.0]}
 SCAN_INPUT = {"norm": norm_to_dict(pnorm(2, 2)), "z_count": 1, "t_grid": [0.5], "samples": 400}
 
 
@@ -349,10 +385,82 @@ class TestFlags:
         assert code == 0
         assert json.loads(out)["tolerance"] == 0.5
 
+    @pytest.mark.parametrize("argv", [
+        ["center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver=inf"],
+        ["center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver=-inf"],
+        ["cap-check", "--input", json.dumps(CAP_INPUT), "--tol", "cap=nan"],
+    ], ids=_argv_id)
+    def test_non_finite_tol_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not a finite number" in capsys.readouterr().err
+
     def test_solver_tol_reaches_solver(self, capsys):
         code, _, err = run(capsys, "center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver=-1")
         assert code == 2
         assert "tol must be positive" in err
+
+
+# The Euclidean plane has no CCF set, so this witness is refuted; infinite
+# tolerances would let it pass both checks.
+EUCLID_TRIPLE_WITNESS = {
+    "set": {"norm": {"dim": 2, "family": {"pnorm": 2}}, "points": [[1, 0], [0, 1], [0.2, 0.2]]},
+    "center_index": 2,
+    "viewpoint": [-5, -5],
+}
+
+
+class TestStandardJson:
+    """The CLI reads standard JSON only: NaN, Infinity and -Infinity exit 2."""
+
+    def test_infinite_witness_tolerances_exit_two(self, capsys):
+        assert run(capsys, "ccf-verify", "--input", json.dumps(EUCLID_TRIPLE_WITNESS))[0] == 1
+        text = json.dumps(EUCLID_TRIPLE_WITNESS)[:-1] + ', "center_tol": Infinity, "farthest_tol": Infinity}'
+        code, out, err = run(capsys, "ccf-verify", "--input", text)
+        assert code == 2
+        assert out == ""
+        assert "Infinity in <inline> is not standard JSON" in err
+
+    def test_infinite_farthest_tol_exit_two(self, capsys):
+        text = json.dumps({"set": EUCLID_PAIR, "viewpoint": [0.0, 2.0]})[:-1] + ', "tol": Infinity}'
+        code, out, err = run(capsys, "farthest", "--input", text)
+        assert code == 2
+        assert out == ""
+        assert "Infinity" in err
+
+    @pytest.mark.parametrize("constant", ["NaN", "-Infinity"])
+    def test_non_finite_point_entry_exit_two(self, tmp_path, capsys, constant):
+        in_file = tmp_path / "set.json"
+        in_file.write_text('{"norm": {"dim": 2, "family": {"pnorm": 2}}, "points": [[1, 0], [%s, 0]]}' % constant)
+        code, out, err = run(capsys, "center", "--input", str(in_file))
+        assert code == 2
+        assert out == ""
+        assert f"{constant} in {in_file} is not standard JSON" in err
+
+
+class TestModuleEntryPoint:
+    """``python -m ccflab`` is ``cli.main`` in a process of its own."""
+
+    @staticmethod
+    def _run_module(*argv):
+        src = str(Path(ccflab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "ccflab", *argv], env=env, capture_output=True,
+                              text=True, timeout=60)
+
+    def test_same_bytes_and_exit_code_as_main(self, capsys):
+        argv = ["farthest", "--input", json.dumps({"set": SMALL_L1, "viewpoint": [2.0, 2.0]})]
+        code, out, _ = run(capsys, *argv)
+        done = self._run_module(*argv)
+        assert code == 0
+        assert (done.returncode, done.stdout) == (code, out)
+
+    def test_malformed_input_exit_two(self):
+        done = self._run_module("farthest", "--input", '{"set": {"norm": ')
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "malformed JSON in <inline>" in done.stderr
 
 
 # The spans perfbench/run.py reads in layer_metrics and OBSERVERS.  Its tracer

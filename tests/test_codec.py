@@ -1,12 +1,16 @@
-"""The record codec: JSON keys derived from the dataclass fields, and JSON
-scalars checked by type rather than coerced."""
+"""The record codec: JSON keys derived from the dataclass fields, JSON
+scalars and array entries checked by type rather than coerced, and the one
+JSON and CSV writers."""
 
 import dataclasses
+import os
 
+import numpy as np
 import pytest
 
+from ccflab import PointSet, ccnf_scan, distance_matrix_csv, pnorm
 from ccflab.cli import CapInput  # also defines the other CLI input records
-from ccflab.codec import Record, _schema
+from ccflab.codec import Record, _schema, csv_text, write_text
 from ccflab.reproductions import Check
 from ccflab.sets import FarthestQuery
 
@@ -56,3 +60,75 @@ def test_wrong_typed_scalar_names_its_key(cls, obj, key):
 def test_integer_accepted_for_float_field():
     fq = FarthestQuery.from_dict({"viewpoint": [0.0], "radius": 1, "achievers": [0], "tolerance": 1e-9})
     assert type(fq.radius) is float and fq.radius == 1.0
+
+
+L2 = {"dim": 2, "family": {"pnorm": 2}}
+
+
+@pytest.mark.parametrize("cls, obj, key", [
+    (FarthestQuery, {"viewpoint": [True], "radius": 1.0, "achievers": [0], "tolerance": 1e-9}, "viewpoint"),
+    (FarthestQuery, {"viewpoint": ["0.5"], "radius": 1.0, "achievers": [0], "tolerance": 1e-9}, "viewpoint"),
+    (PointSet, {"norm": L2, "points": [[0.0, 1.0], [False, 0.0]]}, "points"),
+    (PointSet, {"norm": L2, "points": [[0.0, 1.0], [1.0, "0"]]}, "points"),
+    (PointSet, {"norm": L2, "points": [[0.0, 1.0], [None, 0.0]]}, "points"),
+])
+def test_array_entry_must_be_a_number(cls, obj, key):
+    with pytest.raises(ValueError, match=f"key {key!r}: expected float, got"):
+        cls.from_dict(obj)
+
+
+def test_array_takes_integers():
+    A = PointSet.from_dict({"norm": L2, "points": [[0, 1], [2, -3]]})
+    assert A.points.dtype == float and A.points.tolist() == [[0.0, 1.0], [2.0, -3.0]]
+    fq = FarthestQuery.from_dict({"viewpoint": [1, 0], "radius": 1.0, "achievers": [0], "tolerance": 1e-9})
+    assert fq.viewpoint.tolist() == [1.0, 0.0]
+
+
+def test_record_equality():
+    a = FarthestQuery(np.array([0.0, 1.0]), 2.0, (0,), 1e-9)
+    assert a == FarthestQuery(np.array([0.0, 1.0]), 2.0, (0,), 1e-9)
+    assert a != FarthestQuery(np.array([0.0, 1.5]), 2.0, (0,), 1e-9)  # an array field differs
+    assert a != FarthestQuery(np.array([0.0, 1.0]), 2.5, (0,), 1e-9)  # a scalar field differs
+    assert a.__eq__("not a record") is NotImplemented
+    assert a != "not a record"
+
+
+def test_write_text_failure_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        write_text(target, "new\n")
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
+def test_csv_text_cells():
+    assert csv_text([["a", "b|c"], [0, 0.1, 1e-20, -2.5]]) == "a,b|c\n0,0.1,1e-20,-2.5\n"
+    assert csv_text([]) == ""
+
+
+# The bytes of both CSV artifacts, as written before they shared csv_text.
+SCAN_CSV = (
+    "z_1,z_2,t,r_hat,ratio,samples,accept_ratio\n"
+    "-0.5852130642474351,0.928155107619747,0.5,0.4433107350064404,0.8866214700128808,300,0.7166666666666667\n"
+    "-0.5852130642474351,0.928155107619747,1.0,0.726191776570668,0.726191776570668,300,0.8266666666666667\n"
+    "-0.9999987720153641,0.015444406298563756,0.5,0.4843952511974745,0.968790502394949,300,0.8333333333333334\n"
+    "-0.9999987720153641,0.015444406298563756,1.0,0.9318416669082428,0.9318416669082428,300,0.8\n"
+)
+DISTANCE_CSV = (
+    "point,0.0|0.0,1.5|-2.0,0.1|0.3333333333333333\n"
+    "0,1.0,2.1633743554611127,1.0306103058317153\n"
+    "1,1.0,3.670891222157213,0.6922427999953519\n"
+    "2,0.8254662460033471,1.985045015528581,1.0911897362191825\n"
+)
+
+
+def test_csv_artifact_bytes():
+    assert ccnf_scan(pnorm(2, 3), 2, (0.5, 1.0), 300, seed=7).to_csv() == SCAN_CSV
+    A = PointSet(pnorm(2, 1.5), [[1, 0], [0, 1], [0.3, -0.7]])
+    assert distance_matrix_csv(A, [[0, 0], [1.5, -2], [0.1, 1 / 3]]) == DISTANCE_CSV

@@ -50,6 +50,17 @@ class TestPointSet:
         with pytest.raises(ValueError):
             PointSet(pnorm(2, 2), [[np.inf, 0.0]])
 
+    def test_flat_list_rejected_in_dim_one(self):
+        with pytest.raises(ValueError, match="points must be a 2-axis array of dimension 1"):
+            PointSet(pnorm(1, 2), [0.0, 1.0, 3.0])
+        assert PointSet(pnorm(1, 2), [[0.0], [1.0], [3.0]]).points.shape == (3, 1)
+
+    def test_caller_array_not_frozen(self):
+        pts = np.array([[1.0, 0.0], [0.0, 1.0]])
+        A = PointSet(pnorm(2, 2), pts)
+        pts[0, 0] = 5.0
+        assert A.points[0, 0] == 1.0
+
     def test_points_immutable(self):
         A = PointSet(pnorm(2, 2), [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
@@ -110,6 +121,11 @@ class TestFarthestSet:
         fq = farthest_set(A, [0.25, 0.25], tol=1e-15)
         dists = [distance(A.norm, A.points[i], [0.25, 0.25]) for i in range(3)]
         assert fq.achievers == tuple(i for i, d in enumerate(dists) if d == max(dists))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            farthest_set(basis_with_origin(3), np.ones(3), tol=tol)
 
     def test_round_trip(self):
         from ccflab import FarthestQuery

@@ -231,6 +231,15 @@ class TestBruteForce:
         res = brute_force_center(A, (np.array([-3.0, -1.0]), np.array([-2.0, 1.0])))
         assert "box_boundary" in res.flags
 
+    def test_coarse_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid_per_axis must be >= 3"):
+            brute_force_center(unit_vectors_set(2.0), (-np.ones(3), np.ones(3)), grid_per_axis=2)
+
+    @pytest.mark.parametrize("hi", [[1.0, 1.0, -1.0], [1.0, -2.0, 1.0]])
+    def test_box_without_extent_rejected(self, hi):
+        with pytest.raises(ValueError, match="positive extent"):
+            brute_force_center(unit_vectors_set(2.0), (-np.ones(3), np.array(hi)))
+
     def test_dim_cap(self):
         A = PointSet(pnorm(4, 2), np.eye(4))
         with pytest.raises(ValueError, match="dim"):
@@ -275,6 +284,11 @@ class TestSymmetricLineMinimize:
         s, r = symmetric_line_minimize(A, np.ones(3))
         assert abs(s) <= 1e-6
         assert r == pytest.approx(1.5, abs=1e-9)
+
+    def test_zero_slope_stops_at_once(self):
+        # The first bisection point s = 0 has slope exactly 0: it is the minimizer.
+        A = PointSet(pnorm(2, 2), [[0.0, 1.0]])
+        assert symmetric_line_minimize(A, [1.0, 0.0]) == (0.0, 1.0)
 
     def test_sp_grid_closed_form(self):
         # the p grid of `reproduce sp-grid`
