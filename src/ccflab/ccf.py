@@ -5,7 +5,10 @@ Terminology: a finite set is *CCF* when one of its Chebyshev centers is also a
 farthest point of the set from some viewpoint, and *CCNF* otherwise.  The
 quantity r_{t,z} is the Chebyshev radius of the body B_X ∩ B[z, t] for a unit
 vector z; spaces where r_{t,z} < t for every unit z and t in (0, 1] contain no
-nontrivial CCF set.  The continuum body is handled here by inner
+nontrivial CCF set.  A CCF set whose center c is farthest from y reduces to
+the two-ball body B[c, r] ∩ B[y, R], R = ||c - y||; moving y to 0 and scaling
+by R makes it the cell with z = (c - y)/R, t = r/R.  Both are ``TwoBallSet``
+values with one sampler, ``TwoBallSet.sample``.  Bodies are handled by inner
 discretization only, so scans produce *evidence* with reported sampler
 density, never a proof.
 """
@@ -152,19 +155,29 @@ def amplify_witness(A: PointSet, c, z, t: float) -> np.ndarray:
     in t.  The precondition is checked, up to DEFAULT_ACHIEVER_TOL, and
     violations are rejected.
     """
-    if t < 1.0:
-        raise ValueError(f"amplification factor must be >= 1, got {t}")
+    if not (1.0 <= t < np.inf):
+        raise ValueError(f"amplification factor must be >= 1 and finite, got {t}")
     ac = as_vector(c, A.dim, "c")
     az = as_vector(z, A.dim, "z")
-    d_c = float(eval_norm(A.norm, ac - az))
-    if d_c < outer_radius(A, az) - DEFAULT_ACHIEVER_TOL:
-        raise ValueError("precondition violated: c is not farthest in A from z")
+    _require_farthest(A, ac, az)
     return t * az + (1.0 - t) * ac
+
+
+def _require_farthest(A: PointSet, c: np.ndarray, y: np.ndarray) -> None:
+    """Reject c when a point of A is farther from y, up to DEFAULT_ACHIEVER_TOL."""
+    d_c = float(eval_norm(A.norm, c - y))
+    r_y = outer_radius(A, y)
+    if d_c < r_y - DEFAULT_ACHIEVER_TOL:
+        raise ValueError(f"rejected: c is not farthest in A from the viewpoint ({r_y} > {d_c})")
 
 
 @dataclass(frozen=True, eq=False)
 class TwoBallSet(Record):
-    """The body B[c, r] ∩ B[y, R] with a deterministic rejection sampler."""
+    """The body B[c, r] ∩ B[y, R] with a deterministic rejection sampler.
+
+    The radii are finite and nonnegative, and r <= R and c ∈ B[y, R] hold up
+    to 1e-9 * (1 + R), so the body is never empty.
+    """
 
     c: np.ndarray
     r: float
@@ -176,26 +189,34 @@ class TwoBallSet(Record):
     def __post_init__(self):
         object.__setattr__(self, "c", as_vector(self.c, self.norm.dim, "c"))
         object.__setattr__(self, "y", as_vector(self.y, self.norm.dim, "y"))
-        if self.r < 0.0 or self.R < 0.0:
-            raise ValueError("ball radii must be nonnegative")
-        if self.r > self.R + 1e-9 * (1.0 + self.R):
-            raise ValueError(f"invariant violated: r = {self.r} exceeds R = {self.R}")
+        r, R = float(self.r), float(self.R)
+        if not (0.0 <= r < np.inf and 0.0 <= R < np.inf):
+            raise ValueError(f"ball radii must be finite and nonnegative, got r = {r}, R = {R}")
+        d_cy = float(eval_norm(self.norm, self.c - self.y))
+        if max(r, d_cy) > R + 1e-9 * (1.0 + R):
+            raise ValueError(f"invariant violated: r = {r} or ||c - y|| = {d_cy} exceeds R = {R}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "R", R)
 
     def sample(self, proposals: int):
-        """Uniform points of the body: (points, accepted, proposed).
+        """Points of the body: (points, accepted, proposed).
 
+        The points are the anchors c and (1 - s) c + s y, s = r/R, then the
+        accepted proposals (uniform on the body), which ``accepted`` counts.
         ``proposals`` must be nonnegative.  Degenerate bodies (r = 0) return
-        just {c}.  Nested calls with growing ``proposals`` reuse a common
-        prefix of the Philox stream, so samples are nested across sizes.
+        just {c}.  The Philox stream is keyed by (sampler_seed, "rtz", r), so
+        samples are nested across growing ``proposals``.
         """
         if proposals < 0:
             raise ValueError(f"'proposals' must be at least 0, got {proposals}")
         if self.r == 0.0:
             return self.c.reshape(1, -1), 1, proposals
-        rng = rng_stream(self.sampler_seed, "two-ball")
-        return rejection_sample_two_balls(
+        s = self.r / self.R if self.r < self.R else 1.0
+        rng = rng_stream(self.sampler_seed, "rtz", self.r)
+        pts, accepted, proposed = rejection_sample_two_balls(
             self.norm, self.c, self.r, self.y, self.R, proposals, rng
         )
+        return np.vstack([self.c, (1.0 - s) * self.c + s * self.y, pts]), accepted, proposed
 
 
 def build_two_ball_set(A: PointSet, c, r: float, y, *, seed: int = 0) -> TwoBallSet:
@@ -203,21 +224,13 @@ def build_two_ball_set(A: PointSet, c, r: float, y, *, seed: int = 0) -> TwoBall
 
     ``r`` must be a certified Chebyshev radius for A with center ``c``, and
     ``c`` must be farthest in A from ``y``; the construction rejects inputs
-    where r > R or where the farthest precondition fails, each up to
-    DEFAULT_ACHIEVER_TOL.
+    where r > R or where the farthest precondition fails.
     """
     ac = as_vector(c, A.dim, "c")
     ay = as_vector(y, A.dim, "y")
-    R = float(eval_norm(A.norm, ac - ay))
-    if r > R + DEFAULT_ACHIEVER_TOL:
-        raise ValueError(
-            f"rejected: r = {r} exceeds R = ||c - y|| = {R}; "
-            "the claimed center cannot be farthest from y"
-        )
-    r_y = outer_radius(A, ay)
-    if R < r_y - DEFAULT_ACHIEVER_TOL:
-        raise ValueError(f"rejected: some point of A is farther from y than c is ({r_y} > {R})")
-    return TwoBallSet(c=ac, r=float(r), y=ay, R=R, norm=A.norm, sampler_seed=seed)
+    U = TwoBallSet(c=ac, r=r, y=ay, R=float(eval_norm(A.norm, ac - ay)), norm=A.norm, sampler_seed=seed)
+    _require_farthest(A, ac, ay)
+    return U
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,19 +283,6 @@ def check_two_ball_properties(
     containment = bool(np.all(d_c <= U.r + tol) and np.all(d_y <= U.R + tol))
 
     pts, accepted, proposed = U.sample(samples)
-    if accepted == 0:
-        # Balls nearly disjoint: report the failure explicitly.
-        return TwoBallReport(
-            containment_ok=containment,
-            sample_radius_ok=False,
-            center_radius_ok=False,
-            farthest_ok=False,
-            sample_radius=float("nan"),
-            center_sample_radius=float("nan"),
-            max_sample_dist_to_y=float("nan"),
-            accepted=0,
-            proposals=proposed,
-        )
     sample_set = PointSet(A.norm, pts)
     solved = chebyshev_center(sample_set, opts, extra_starts=[U.c])
     r_c_sample = outer_radius(sample_set, U.c)
@@ -309,7 +309,7 @@ class RtzEstimate(Record):
     under-estimate of r_{t,z} up to ``gap``.  It never exceeds t (the
     candidate z already achieves radius <= t on any subset of B[z, t]).
     ``sample_count`` counts rejection-sampler acceptances; the solve also
-    always includes the two deterministic anchor points z and (1-t)z.
+    always includes the cell's two anchors, z and (1-t)z.
     """
 
     _keys = ("z", "t", "r_hat", "ratio", "sample_count", "proposals", "accept_ratio", "gap", "flags")
@@ -341,40 +341,33 @@ def estimate_r_tz(
 ) -> RtzEstimate:
     """Inner-sample B_X ∩ B[z, t] and solve the sample's Chebyshev radius.
 
-    ``z`` must lie on the unit sphere (tolerance 1e-9); ``samples`` (at
-    least 1) counts rejection-sampler proposals drawn from the bounding box
-    of the intersection.  The points z and (1-t)z always join the sample
-    (both lie in the body), so the estimate is defined even for thin
-    intersections; acceptance below 1e-3 is flagged as
-    ``thin_intersection``.  ``opts`` goes to the solver as given (None means
-    ``SolverOptions()``); a solve whose certified gap misses its tolerance
-    is flagged ``solver_not_converged``.
+    The cell is ``TwoBallSet(c=z, r=t, y=0, R=1, sampler_seed=seed)``; its
+    sample starts with the anchors z and (1-t)z, so the estimate is defined
+    even for thin intersections.  ``z`` must lie on the unit sphere
+    (tolerance 1e-9); ``samples`` (at least 1) counts proposals; acceptance
+    below 1e-3 is flagged as ``thin_intersection``.  ``opts`` goes to the
+    solver as given (None means ``SolverOptions()``); a solve whose
+    certified gap misses its tolerance is flagged ``solver_not_converged``.
     """
-    az = as_vector(z, norm.dim, "z")
-    if abs(float(eval_norm(norm, az)) - 1.0) > 1e-9:
-        raise ValueError("z must lie on the unit sphere of the ambient norm")
+    az = _on_unit_sphere(norm, z, "z")
     if not (0.0 < t <= 1.0):
         raise ValueError(f"t must lie in (0, 1], got {t}")
     if samples < 1:
         raise ValueError(f"'samples' must be at least 1, got {samples}")
 
-    origin = np.zeros(norm.dim)
-    rng = rng_stream(seed, "rtz", float(t))
-    pts, accepted, proposed = rejection_sample_two_balls(
-        norm, origin, 1.0, az, t, samples, rng
-    )
-
+    cell = TwoBallSet(c=az, r=t, y=np.zeros(norm.dim), R=1.0, norm=norm, sampler_seed=seed)
+    pts, accepted, proposed = cell.sample(samples)
     flags: tuple[str, ...] = ()
     if accepted / proposed < 1e-3:
         flags = ("thin_intersection",)
 
-    sample_set = PointSet(norm, np.vstack([az, (1.0 - t) * az, pts]))
-    solved = chebyshev_center(sample_set, opts, extra_starts=[az])
+    # The anchors stay first: the solver's working set depends on row order.
+    solved = chebyshev_center(PointSet(norm, pts), opts, extra_starts=[az])
     if not solved.converged:
         flags = flags + ("solver_not_converged",)
     return RtzEstimate(
         z=az,
-        t=float(t),
+        t=cell.r,
         r_hat=solved.radius,
         sample_count=accepted,
         proposals=proposed,
@@ -465,6 +458,14 @@ def _cell_seed(seed: int, zi: int, ti: int) -> int:
     return (int(seed) * 1_000_003 + zi * 1009 + ti) & (2**63 - 1)
 
 
+def _on_unit_sphere(norm: NormSpec, v, name: str) -> np.ndarray:
+    """``v`` as a vector, checked to lie on the unit sphere (tolerance 1e-9)."""
+    av = as_vector(v, norm.dim, name)
+    if abs(float(eval_norm(norm, av)) - 1.0) > 1e-9:
+        raise ValueError(f"{name} must lie on the unit sphere of the ambient norm")
+    return av
+
+
 def cap_containment_check(norm: NormSpec, u, v, samples: int = 256) -> float:
     """Max over sampled cap points s of ||s - w|| - r, for the chord u-v.
 
@@ -478,11 +479,8 @@ def cap_containment_check(norm: NormSpec, u, v, samples: int = 256) -> float:
         raise ValueError("cap containment is a planar (dim 2) check")
     if samples < 3:
         raise ValueError(f"'samples' must be at least 3, got {samples}")
-    au = as_vector(u, 2, "u")
-    av = as_vector(v, 2, "v")
-    for name, vec in (("u", au), ("v", av)):
-        if abs(float(eval_norm(norm, vec)) - 1.0) > 1e-9:
-            raise ValueError(f"{name} must lie on the unit sphere")
+    au = _on_unit_sphere(norm, u, "u")
+    av = _on_unit_sphere(norm, v, "v")
     w = (au + av) / 2.0
     r = float(eval_norm(norm, au - av)) / 2.0
     if r == 0.0:

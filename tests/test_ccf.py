@@ -139,6 +139,12 @@ class TestAmplifyWitness:
         with pytest.raises(ValueError, match=">= 1"):
             amplify_witness(A, [0.5, 0.5], [0.0, 0.0], 0.5)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_t_rejected(self, t):
+        A = l1_segment_witness_set()
+        with pytest.raises(ValueError, match=">= 1 and finite"):
+            amplify_witness(A, [0.5, 0.5], [0.0, 0.0], t)
+
 
 class TestTwoBallSet:
     def test_build_l1_triple(self):
@@ -174,16 +180,35 @@ class TestTwoBallSet:
         assert not report.containment_ok
         assert not report.all_ok
 
-    def test_disjoint_balls_accept_nothing(self):
-        # B[0, 1] and B[(5, 0), 1] are disjoint: no sample, every check false.
+    def test_disjoint_balls_rejected(self):
+        # B[0, 1] and B[(5, 0), 1] are disjoint: c lies outside B[y, R].
+        with pytest.raises(ValueError, match=r"\|\|c - y\|\| = 5.0 exceeds R"):
+            TwoBallSet(c=np.zeros(2), r=1.0, y=np.array([5.0, 0.0]), R=1.0, norm=pnorm(2, 2))
+
+    def test_zero_proposals_report_is_standard_json(self):
+        # The anchors alone make the sample: finite radii, no NaN in the JSON.
         A = l1_segment_witness_set()
-        U = TwoBallSet(c=np.zeros(2), r=1.0, y=np.array([5.0, 0.0]), R=1.0, norm=pnorm(2, 2))
-        report = check_two_ball_properties(U, A, 500)
-        assert (report.accepted, report.proposals) == (0, 500)
-        assert not (report.containment_ok or report.sample_radius_ok
-                    or report.center_radius_ok or report.farthest_ok)
-        assert np.isnan([report.sample_radius, report.center_sample_radius,
-                         report.max_sample_dist_to_y]).all()
+        U = build_two_ball_set(A, [0.5, 0.5], 1.0, [0.0, 0.0])
+        report = check_two_ball_properties(U, A, 0)
+        assert (report.accepted, report.proposals) == (0, 0)
+        assert np.isfinite([report.sample_radius, report.center_sample_radius,
+                            report.max_sample_dist_to_y]).all()
+        assert report.all_ok
+
+        def no_constants(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = json.dumps(report.to_dict())
+        assert TwoBallReport.from_dict(json.loads(text, parse_constant=no_constants)) == report
+
+    def test_sample_starts_with_anchors(self):
+        U = TwoBallSet(c=np.array([1.0, 0.0]), r=0.5, y=np.array([-1.0, 0.0]), R=2.0,
+                       norm=pnorm(2, 2), sampler_seed=4)
+        pts, accepted, proposed = U.sample(300)
+        assert np.array_equal(pts[:2], [[1.0, 0.0], [0.5, 0.0]])
+        assert (pts.shape[0], proposed) == (accepted + 2, 300)
+        assert np.all(eval_norm(U.norm, pts - U.c) <= U.r)
+        assert np.all(eval_norm(U.norm, pts - U.y) <= U.R)
 
     def test_zero_proposals_sample_nothing(self):
         pts, accepted, proposed = rejection_sample_two_balls(
@@ -208,7 +233,9 @@ class TestTwoBallSet:
             build_two_ball_set(A, [0.5, 0.5], 2.0, [0.6, 0.6])
 
     @pytest.mark.parametrize("r, R, match", [(-0.5, 1.0, "nonnegative"), (0.5, -1.0, "nonnegative"),
-                                             (1.5, 1.0, "exceeds R")])
+                                             (1.5, 1.0, "exceeds R"),
+                                             (float("nan"), 1.0, "finite and nonnegative"),
+                                             (0.5, float("inf"), "finite and nonnegative")])
     def test_invalid_radii_rejected(self, r, R, match):
         with pytest.raises(ValueError, match=match):
             TwoBallSet(c=np.zeros(2), r=r, y=np.array([1.0, 0.0]), R=R, norm=pnorm(2, 2))
@@ -277,6 +304,17 @@ class TestEstimateRtz:
         est = estimate_r_tz(pnorm(2, 2), [1.0, 0.0], 0.5, 500, seed=0)
         assert RtzEstimate.from_dict(est.to_dict()) == est
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("t", [0.4, 1.0])
+    def test_row_is_the_cell_body(self, p, t):
+        # r_{t,z} is the Chebyshev radius of the body B[z, t] ∩ B[0, 1].
+        norm = pnorm(2, p)
+        z = np.array([0.6, -0.8]) / eval_norm(norm, [0.6, -0.8])
+        est = estimate_r_tz(norm, z, t, 1500, seed=11)
+        pts, accepted, _ = TwoBallSet(z, t, np.zeros(2), 1.0, norm, sampler_seed=11).sample(1500)
+        solved = chebyshev_center(PointSet(norm, pts), extra_starts=[z])
+        assert (est.r_hat, est.sample_count) == (solved.radius, accepted)
+
 
 class TestCcnfScan:
     def test_euclidean_scan_is_ccnf_evidence(self):
@@ -318,6 +356,18 @@ class TestCcnfScan:
     def test_nonpositive_counts_rejected(self, z_count, samples, key):
         with pytest.raises(ValueError, match=f"'{key}' must be at least 1"):
             ccnf_scan(pnorm(2, 2), z_count, [0.5], samples)
+
+    def test_one_sampler_call_per_cell(self, monkeypatch):
+        # perfbench's sampling counters wrap this name: one call, the cell's proposals.
+        calls = []
+
+        def counting(norm, c, r, y, R, proposals, rng):
+            calls.append(proposals)
+            return rejection_sample_two_balls(norm, c, r, y, R, proposals, rng)
+
+        monkeypatch.setattr("ccflab.ccf.rejection_sample_two_balls", counting)
+        scan = ccnf_scan(pnorm(2, 3), 3, [0.5, 1.0], 400, seed=2)
+        assert calls == [row.proposals for row in scan.rows] == [400] * 6
 
     def test_deterministic_and_json_round_trip(self):
         s1 = ccnf_scan(pnorm(2, 2), 3, [0.5, 1.0], 800, seed=9)

@@ -112,13 +112,22 @@ def test_csv_text_cells():
     assert csv_text([]) == ""
 
 
-# The bytes of both CSV artifacts, as written before they shared csv_text.
+# The bytes of the scan and distance CSVs, as written before they shared csv_text.
 SCAN_CSV = (
     "z_1,z_2,t,r_hat,ratio,samples,accept_ratio\n"
     "-0.5852130642474351,0.928155107619747,0.5,0.4433107350064404,0.8866214700128808,300,0.7166666666666667\n"
     "-0.5852130642474351,0.928155107619747,1.0,0.726191776570668,0.726191776570668,300,0.8266666666666667\n"
     "-0.9999987720153641,0.015444406298563756,0.5,0.4843952511974745,0.968790502394949,300,0.8333333333333334\n"
     "-0.9999987720153641,0.015444406298563756,1.0,0.9318416669082428,0.9318416669082428,300,0.8\n"
+)
+# The l1 scan, as written before its cells were sampled as TwoBallSet bodies;
+# t = 1 puts the cell's second anchor (1 - t)z at the origin.
+L1_SCAN_CSV = (
+    "z_1,z_2,t,r_hat,ratio,samples,accept_ratio\n"
+    "-0.38669576585940996,0.6133042341405901,0.4,0.39312138689688253,0.9828034672422062,300,0.27\n"
+    "-0.38669576585940996,0.6133042341405901,1.0,0.8786144225576908,0.8786144225576908,300,0.37666666666666665\n"
+    "-0.9847904770760211,0.015209522923978975,0.4,0.20748050122345033,0.5187012530586258,300,0.29333333333333333\n"
+    "-0.9847904770760211,0.015209522923978975,1.0,0.5086829951244509,0.5086829951244509,300,0.2833333333333333\n"
 )
 DISTANCE_CSV = (
     "point,0.0|0.0,1.5|-2.0,0.1|0.3333333333333333\n"
@@ -130,5 +139,6 @@ DISTANCE_CSV = (
 
 def test_csv_artifact_bytes():
     assert ccnf_scan(pnorm(2, 3), 2, (0.5, 1.0), 300, seed=7).to_csv() == SCAN_CSV
+    assert ccnf_scan(pnorm(2, 1), 2, (0.4, 1.0), 300, seed=7).to_csv() == L1_SCAN_CSV
     A = PointSet(pnorm(2, 1.5), [[1, 0], [0, 1], [0.3, -0.7]])
     assert distance_matrix_csv(A, [[0, 0], [1.5, -2], [0.1, 1 / 3]]) == DISTANCE_CSV
