@@ -10,15 +10,15 @@ centerable with the origin as center.
 """
 
 from ccflab import (
-    WeightedLpSpace,
     embed_lp3,
     example_c0_truncated,
     summary_markdown,
+    weighted_pnorm,
 )
 
-space = WeightedLpSpace(p=3.0, atom_weights=(2.0, 0.5, 1.0, 3.0))
-report = embed_lp3(space, atoms=(0, 1, 2), test_vectors=1000, seed=0)
-print(f"embedding into weighted Lp (weights {space.atom_weights}):")
+norm = weighted_pnorm(3.0, (2.0, 0.5, 1.0, 3.0))
+report = embed_lp3(norm, atoms=(0, 1, 2), test_vectors=1000, seed=0)
+print(f"embedding into weighted Lp (weights {norm.family.weights}):")
 for check in report.checks:
     print(f"  [{'ok' if check.passed else 'FAIL'}] {check.description}: {check.observed}")
 

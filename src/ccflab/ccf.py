@@ -204,13 +204,14 @@ class TwoBallSet(Record):
         The points are the anchors c and (1 - s) c + s y, s = r/R, then the
         accepted proposals (uniform on the body), which ``accepted`` counts.
         ``proposals`` must be nonnegative.  Degenerate bodies (r = 0) return
-        just {c}.  The Philox stream is keyed by (sampler_seed, "rtz", r), so
-        samples are nested across growing ``proposals``.
+        just {c}, with no proposal accepted.  The Philox stream is keyed by
+        (sampler_seed, "rtz", r), so samples are nested across growing
+        ``proposals``.
         """
         if proposals < 0:
             raise ValueError(f"'proposals' must be at least 0, got {proposals}")
         if self.r == 0.0:
-            return self.c.reshape(1, -1), 1, proposals
+            return self.c.reshape(1, -1), 0, proposals
         s = self.r / self.R if self.r < self.R else 1.0
         rng = rng_stream(self.sampler_seed, "rtz", self.r)
         pts, accepted, proposed = rejection_sample_two_balls(

@@ -48,15 +48,15 @@ import numpy as np
 from .ccf import (
     CcfWitness,
     INDETERMINATE,
+    ScanResult,
     cap_containment_check,
     ccnf_scan,
     verify_ccf_witness,
 )
 from .codec import Record, json_text, write_text
-from .norms import NormSpec, pnorm
+from .norms import NormSpec, pnorm, weighted_pnorm
 from .reproductions import (
     ExampleReport,
-    WeightedLpSpace,
     ap_ccf_check,
     embed_lp3,
     example_c0_truncated,
@@ -73,9 +73,9 @@ EXIT_VERDICT = 1
 EXIT_INPUT = 2
 EXIT_INDETERMINATE = 3
 
-# The weighted discrete-measure space of the embedding reproduction, in
-# ``reproduce all`` and by default in ``reproduce embedding``.
-EMBEDDING_SPACE = WeightedLpSpace(3.0, (2.0, 0.5, 1.0, 3.0))
+# The norm of the weighted discrete-measure space of the embedding
+# reproduction, in ``reproduce all`` and by default in ``reproduce embedding``.
+EMBEDDING_NORM = weighted_pnorm(3.0, (2.0, 0.5, 1.0, 3.0))
 
 
 def _load_input(raw: str):
@@ -187,10 +187,11 @@ def reproduce_all(
     scan_z_count: int = 12,
     scan_t_grid=None,
     opts: SolverOptions | None = None,
-) -> tuple[list[ExampleReport], list[dict], str]:
+) -> tuple[list[ExampleReport], dict[str, ScanResult], str]:
     """Run the full reproduction battery and the three reference scans.
 
-    Returns (reports, scan summaries, markdown table).  When ``out_dir`` is
+    Returns (reports, scans, markdown table); ``scans`` maps the labels l2,
+    l3 and l1, in that order, to their ``ScanResult``.  When ``out_dir`` is
     given, JSON reports, scan CSVs, and the summary table are written there.
     Pass/fail outcomes are stable across seeds; only sampling coordinates
     move.  ``opts`` is passed to every solve.
@@ -201,18 +202,17 @@ def reproduce_all(
     reports.append(sp_grid_check())
     for p in (1.5, 3.0, 4.0):
         reports.append(ap_ccf_check(p, 100.0, opts))
-    reports.append(embed_lp3(EMBEDDING_SPACE, (0, 1, 2), seed=seed, opts=opts))
+    reports.append(embed_lp3(EMBEDDING_NORM, (0, 1, 2), seed=seed, opts=opts))
 
-    scans = []
-    for label, p in (("l2", 2.0), ("l3", 3.0), ("l1", 1.0)):
-        scan = ccnf_scan(pnorm(2, p), scan_z_count, t_grid, scan_samples, seed=seed, opts=opts)
-        scans.append({"label": label, "scan": scan})
+    scans = {
+        label: ccnf_scan(pnorm(2, p), scan_z_count, t_grid, scan_samples, seed=seed, opts=opts)
+        for label, p in (("l2", 2.0), ("l3", 3.0), ("l1", 1.0))
+    }
 
     lines = [summary_markdown(reports)]
     lines.append("\n| scan | max r_hat/t | verdict |\n| --- | --- | --- |")
-    for entry in scans:
-        scan = entry["scan"]
-        lines.append(f"| {entry['label']} | {scan.max_ratio:.6f} | {scan.verdict} |")
+    for label, scan in scans.items():
+        lines.append(f"| {label} | {scan.max_ratio:.6f} | {scan.verdict} |")
     lines.append(
         "\nScan verdicts are sampled evidence, not certificates: cells with"
         " r_hat/t near 1 indicate flat-face (CCF) behavior, clear separation"
@@ -224,15 +224,11 @@ def reproduce_all(
     if out_dir is not None:
         out_dir = Path(out_dir)
         write_reports(reports, out_dir / "reports")
-        for entry in scans:
-            write_text(out_dir / f"scan_{entry['label']}.csv", entry["scan"].to_csv())
+        for label, scan in scans.items():
+            write_text(out_dir / f"scan_{label}.csv", scan.to_csv())
         write_text(out_dir / "summary.md", summary)
 
-    scan_dicts = [
-        {"label": e["label"], "max_ratio": e["scan"].max_ratio, "verdict": e["scan"].verdict}
-        for e in scans
-    ]
-    return reports, scan_dicts, summary
+    return reports, scans, summary
 
 
 # The single-report reproduce targets, each building its report from the
@@ -243,7 +239,7 @@ REPRODUCE_TARGETS = {
     "sp-grid": lambda args, opts: sp_grid_check(),
     "ap-witness": lambda args, opts: ap_ccf_check(1.5 if args.p is None else args.p, args.t, opts),
     "embedding": lambda args, opts: embed_lp3(
-        WeightedLpSpace(EMBEDDING_SPACE.p if args.p is None else args.p, tuple(map(float, args.weights.split(",")))),
+        weighted_pnorm(EMBEDDING_NORM.family.p if args.p is None else args.p, args.weights.split(",")),
         (0, 1, 2), seed=args.seed, opts=opts,
     ),
 }
@@ -317,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--n", type=int, default=3, help="dimension for finite-dim")
     rep.add_argument("--trunc", type=int, default=10, help="truncation size for c0")
     rep.add_argument("--p", type=float, default=None,
-                     help=f"exponent (ap-witness default 1.5, embedding default {EMBEDDING_SPACE.p:g})")
+                     help=f"exponent (ap-witness default 1.5, embedding default {EMBEDDING_NORM.family.p:g})")
     rep.add_argument("--t", type=float, default=100.0)
-    rep.add_argument("--weights", default=",".join(f"{w:g}" for w in EMBEDDING_SPACE.atom_weights),
+    rep.add_argument("--weights", default=",".join(f"{w:g}" for w in EMBEDDING_NORM.family.weights),
                      help="comma-separated atom weights for embedding (default %(default)s)")
 
     return parser

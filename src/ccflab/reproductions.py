@@ -18,8 +18,9 @@ The benchmark families:
   s_p = 1/(1 + 2^(1/(p-1))), the line minimizer checked against s_p on a
   grid of p, and the CCF witness built from it for p != 2.
 * ``embed_lp3``: the isometric embedding of lp^3 onto three unit-scaled
-  atom indicators inside a weighted discrete-measure Lp space, with the
-  norm-one averaging projection, transporting the witness along.
+  atom indicators inside a weighted discrete-measure Lp space (a
+  ``weighted_pnorm``), with the norm-one averaging projection, transporting
+  the witness along.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .ccf import CcfWitness, verify_ccf_witness
 from .codec import Record, json_text, write_text
-from .norms import NormSpec, eval_norm, pnorm, sum_composite, sup_plus_weighted_l2, weighted_pnorm
+from .norms import NormSpec, WeightedPNorm, eval_norm, pnorm, sum_composite, sup_plus_weighted_l2
 from .sampling import rng_stream
 from .sets import PointSet, diameter, farthest_set, outer_radius
 from .solver import SolverOptions, chebyshev_center, symmetric_line_minimize
@@ -39,7 +40,6 @@ from .solver import SolverOptions, chebyshev_center, symmetric_line_minimize
 __all__ = [
     "Check",
     "ExampleReport",
-    "WeightedLpSpace",
     "example_finite_dim",
     "example_c0_truncated",
     "sp_closed_form",
@@ -61,21 +61,21 @@ class Check(Record):
 
 @dataclass(frozen=True, eq=False)
 class ExampleReport(Record):
-    """A named reproduction run: parameters, per-check outcomes, overall flag."""
+    """A named reproduction run: parameters and per-check outcomes.
+
+    ``overall`` is derived, every check passed; its JSON key comes last and
+    is ignored when a report is read back.
+    """
+
+    _keys = ("name", "parameters", "checks", "overall")
 
     name: str
     parameters: dict
     checks: tuple[Check, ...]
-    overall: bool
 
-
-def _report(name: str, parameters: dict, checks: list[Check]) -> ExampleReport:
-    return ExampleReport(
-        name=name,
-        parameters=parameters,
-        checks=tuple(checks),
-        overall=all(c.passed for c in checks),
-    )
+    @property
+    def overall(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
 def _check(desc: str, expected, observed, passed: bool) -> Check:
@@ -169,7 +169,7 @@ def example_finite_dim(n: int, opts: SolverOptions | None = None) -> ExampleRepo
         )
     )
 
-    return _report("finite-dim", {"n": n}, checks)
+    return ExampleReport("finite-dim", {"n": n}, tuple(checks))
 
 
 def example_c0_truncated(N: int, opts: SolverOptions | None = None) -> ExampleReport:
@@ -251,7 +251,7 @@ def example_c0_truncated(N: int, opts: SolverOptions | None = None) -> ExampleRe
         )
     )
 
-    return _report("c0-truncated", {"N": N}, checks)
+    return ExampleReport("c0-truncated", {"N": N}, tuple(checks))
 
 
 def sp_closed_form(p: float) -> float:
@@ -278,7 +278,7 @@ def sp_grid_check() -> ExampleReport:
         f"max |dev| = {worst:.2e}",
         worst <= 1e-8,
     )
-    return _report("sp-grid", {"p_grid": [round(float(p), 6) for p in ps]}, [check])
+    return ExampleReport("sp-grid", {"p_grid": [round(float(p), 6) for p in ps]}, (check,))
 
 
 def _lp3_witness(p: float, t: float):
@@ -351,53 +351,36 @@ def ap_ccf_check(p: float, t: float = 100.0, opts: SolverOptions | None = None) 
         )
     )
 
-    return _report("ap-witness", {"p": p, "t": t}, checks)
-
-
-@dataclass(frozen=True)
-class WeightedLpSpace:
-    """A finite discrete-measure Lp space: atom weights mu_i, exponent p."""
-
-    p: float
-    atom_weights: tuple[float, ...]
-
-    def __post_init__(self):
-        # WeightedPNorm checks 1 < p < inf and the weights.
-        family = self.norm_spec().family
-        object.__setattr__(self, "p", family.p)
-        object.__setattr__(self, "atom_weights", family.weights)
-
-    @property
-    def dim(self) -> int:
-        return len(self.atom_weights)
-
-    def norm_spec(self) -> NormSpec:
-        return weighted_pnorm(self.p, self.atom_weights)
+    return ExampleReport("ap-witness", {"p": p, "t": t}, tuple(checks))
 
 
 def embed_lp3(
-    space: WeightedLpSpace,
+    norm: NormSpec,
     atoms: tuple[int, int, int],
     test_vectors: int = 1000,
     seed: int = 0,
     opts: SolverOptions | None = None,
 ) -> ExampleReport:
-    """Embed lp^3 isometrically onto three atom indicators of ``space``.
+    """Embed lp^3 isometrically onto three atom indicators of a weighted
+    discrete-measure Lp space.
 
-    T sends x to sum_i x_i f_i with f_i the i-th atom indicator scaled to
-    unit norm; P averages per atom back onto the span (atom averaging makes
-    P T the identity and Holder gives ||P|| = 1).  Checks isometry, the
-    retraction, the norm-one bound, and that the transported witness
-    (T(A_p), T(x_p), T(y)) is confirmed in the weighted space.
+    ``norm`` is that space's norm, a ``weighted_pnorm(p, atom_weights)``;
+    any other family raises ValueError.  T sends x to sum_i x_i f_i with f_i
+    the i-th atom indicator scaled to unit norm; P averages per atom back
+    onto the span (atom averaging makes P T the identity and Holder gives
+    ||P|| = 1).  Checks isometry, the retraction, the norm-one bound, and
+    that the transported witness (T(A_p), T(x_p), T(y)) is confirmed in the
+    weighted space.
     """
+    if not isinstance(norm.family, WeightedPNorm):
+        raise ValueError(f"embedding needs a weighted p-norm, got {type(norm.family).__name__}")
+    m = norm.dim
     if len(set(atoms)) != 3:
         raise ValueError("need three distinct atom indices")
-    if any(not (0 <= a < space.dim) for a in atoms):
-        raise ValueError(f"atom indices out of range for dim {space.dim}")
-    p = space.p
-    norm = space.norm_spec()
-    mu = np.asarray(space.atom_weights)
-    m = space.dim
+    if any(not (0 <= a < m) for a in atoms):
+        raise ValueError(f"atom indices out of range for dim {m}")
+    p = norm.family.p
+    mu = np.asarray(norm.family.weights)
     rng = rng_stream(seed, "embedding")
     checks: list[Check] = []
 
@@ -447,16 +430,16 @@ def embed_lp3(
         )
     )
 
-    return _report(
+    return ExampleReport(
         "embedding",
         {
             "p": p,
-            "atom_weights": list(space.atom_weights),
+            "atom_weights": list(norm.family.weights),
             "atoms": list(atoms),
             "test_vectors": test_vectors,
             "seed": seed,
         },
-        checks,
+        tuple(checks),
     )
 
 

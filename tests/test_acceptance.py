@@ -12,7 +12,6 @@ from ccflab import (
     CcfWitness,
     PointSet,
     SolverOptions,
-    WeightedLpSpace,
     brute_force_center,
     cap_containment_check,
     ccnf_scan,
@@ -219,7 +218,7 @@ def test_criterion_09_falsification_harness_p3():
 
 
 def test_criterion_10_weighted_lp_embedding():
-    report = embed_lp3(WeightedLpSpace(3.0, (2.0, 0.5, 1.0, 3.0)), (0, 1, 2), test_vectors=1000, seed=0)
+    report = embed_lp3(weighted_pnorm(3.0, (2.0, 0.5, 1.0, 3.0)), (0, 1, 2), test_vectors=1000, seed=0)
     by_desc = {c.description: c for c in report.checks}
     assert by_desc["isometry: ||T x|| matches ||x||_p"].passed
     assert by_desc["projection norm one: ||P f|| <= ||f||"].passed

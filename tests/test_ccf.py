@@ -167,11 +167,12 @@ class TestTwoBallSet:
         A = PointSet(pnorm(2, 2), [[0.3, 0.3]])
         U = TwoBallSet(c=np.array([0.3, 0.3]), r=0.0, y=np.array([1.0, 1.0]),
                        R=distance(A.norm, [0.3, 0.3], [1.0, 1.0]), norm=A.norm)
-        pts, accepted, _ = U.sample(100)
-        assert accepted == 1
-        assert np.allclose(pts[0], [0.3, 0.3])
+        pts, accepted, proposed = U.sample(100)
+        assert (accepted, proposed) == (0, 100)
+        assert np.array_equal(pts, [[0.3, 0.3]])
         report = check_two_ball_properties(U, A, 100)
         assert report.all_ok
+        assert (report.accepted, report.proposals) == (0, 100)
 
     def test_wrong_radius_fails_containment(self):
         A = l1_segment_witness_set()

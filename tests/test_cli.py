@@ -198,6 +198,13 @@ class TestExitCodes:
         ("farthest", {"set": EUCLID_PAIR, "viewpoint": [0.0, 2.0], "tol": True}, "tol"),
         ("center", {**EUCLID_PAIR, "norm": {"dim": 2.5, "family": {"pnorm": 2}}}, "norm"),
         ("center", {**EUCLID_PAIR, "norm": {"dim": 2, "family": {"pnorm": True}}}, "norm"),
+        ("ccf-verify", {**L1_WITNESS, "set": 5}, "set"),
+        # Norm objects that decode to no NormSpec.
+        ("center", {**EUCLID_PAIR, "norm": {"dim": 2}}, "norm"),
+        ("center", {**EUCLID_PAIR, "norm": {"dim": 0, "family": {"pnorm": 2}}}, "norm"),
+        ("center", {**EUCLID_PAIR, "norm": {"dim": 2, "family": 5}}, "norm"),
+        ("center", {**EUCLID_PAIR, "norm": {"dim": 2, "family": {"pnorm": 2, "sup_plus_wl2": [1.0, 1.0]}}}, "norm"),
+        ("center", {**EUCLID_PAIR, "norm": {"dim": 2, "family": {"sum": []}}}, "norm"),
     ])
     def test_bad_input_key_exit_two(self, capsys, command, payload, key):
         code, out, err = run(capsys, command, "--input", json.dumps(payload))
@@ -232,6 +239,13 @@ class TestExitCodes:
         assert "points must be a 2-axis array of dimension 1" in err
         nested = {**flat, "points": [[0.0], [1.0], [3.0]]}
         assert run(capsys, "center", "--input", json.dumps(nested))[0] == 0
+
+    @pytest.mark.parametrize("key, value", [("center_tol", 0.0), ("farthest_tol", -1e-9)])
+    def test_nonpositive_witness_tolerance_exit_two(self, capsys, key, value):
+        code, out, err = run(capsys, "ccf-verify", "--input", json.dumps({**L1_WITNESS, key: value}))
+        assert code == 2
+        assert out == ""
+        assert "tolerances must be positive" in err
 
     @pytest.mark.parametrize("index", [3, -1])
     def test_center_index_out_of_range_exit_two(self, capsys, index):
@@ -522,6 +536,17 @@ class TestReproduceCommand:
         assert code == 0
         assert json.loads(out_file.read_text())["overall"] is True
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ap-witness", "--t", "1"], "requires t > 1, got 1.0"),
+        (["embedding", "--weights", "1,-2,3"], "weighted p-norm weights must all be positive"),
+        (["embedding", "--p", "1"], "weighted p-norm requires 1 < p < inf, got 1.0"),
+    ], ids=" ".join)
+    def test_bad_target_argument_exit_two(self, capsys, argv, message):
+        code, out, err = run(capsys, "reproduce", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestReproduceAll:
     def test_light_battery_and_seed_stability(self, tmp_path):
@@ -534,12 +559,12 @@ class TestReproduceAll:
         assert [r.overall for r in reports0] == [r.overall for r in reports1]
 
         # the l1 scan flags near-t cells; the Euclidean scan stays clearly below
-        by_label0 = {s["label"]: s for s in scans0}
-        by_label1 = {s["label"]: s for s in scans1}
-        for by_label in (by_label0, by_label1):
-            assert by_label["l2"]["verdict"] == "ccnf-evidence"
-            assert by_label["l1"]["max_ratio"] >= 0.99
-            assert by_label["l3"]["max_ratio"] < 1.0
+        for scans in (scans0, scans1):
+            assert list(scans) == ["l2", "l3", "l1"]
+            assert scans["l2"].verdict == "ccnf-evidence"
+            assert scans["l1"].max_ratio >= 0.99
+            assert scans["l3"].max_ratio < 1.0
+        assert (tmp_path / "out0" / "scan_l3.csv").read_text() == scans0["l3"].to_csv()
 
         # artifacts written
         out_dir = tmp_path / "out0"

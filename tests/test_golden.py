@@ -5,8 +5,10 @@ The expected files under ``golden/`` were written by the code that each
 refactor replaced: the first six by the hand-coded serializers that the
 dataclass codec replaced, the embedding, ap-witness and cap-check files by
 the trial-and-retry cap arc, the second farthest pass of the witness check
-and the per-row embedding projection.  The refactors must reproduce them
-exactly.
+and the per-row embedding projection, and the finite-dim, sp-grid and
+weighted embedding reports by the reports that stored their ``overall`` flag
+and the embedding that took a separate space type.  The refactors must
+reproduce them exactly.
 """
 
 import json
@@ -50,7 +52,11 @@ CASES = {
         json.dumps({"norm": {"dim": 2, "family": {"pnorm": 2}}, "z_count": 1, "t_grid": [0.5], "samples": 400}),
     ],
     "reproduce_c0": ["reproduce", "c0", "--trunc", "5"],
+    "reproduce_finite_dim": ["reproduce", "finite-dim", "--n", "3"],
+    "reproduce_sp_grid": ["reproduce", "sp-grid"],
     "reproduce_embedding": ["reproduce", "embedding"],
+    # The embedding space built from --p and --weights rather than the default.
+    "reproduce_embedding_weights": ["reproduce", "embedding", "--p", "1.5", "--weights", "1,2,3"],
     "reproduce_ap_witness": ["reproduce", "ap-witness", "--p", "3"],
     # A strictly convex chord whose cap turns clockwise from u to v.
     "cap_check": [

@@ -18,7 +18,7 @@ from ccflab import (
     sup_plus_weighted_l2,
     weighted_pnorm,
 )
-from ccflab.norms import NormSpec, linf_lower_constant
+from ccflab.norms import NormSpec, PNorm, linf_lower_constant
 from ccflab.sampling import rng_stream
 
 
@@ -249,6 +249,14 @@ class TestSpecValidation:
     def test_weighted_pnorm_requires_interior_p(self):
         with pytest.raises(ValueError):
             weighted_pnorm(1.0, (1.0, 1.0))
+
+    def test_composite_child_must_be_a_spec(self):
+        with pytest.raises(TypeError, match="composite children must be NormSpec instances"):
+            sum_composite(2, [(1.0, PNorm(2.0))])
+
+    def test_unknown_family_object_rejected(self):
+        with pytest.raises(TypeError, match="unknown norm family: str"):
+            NormSpec(2, "l2")
 
 
 class TestJsonCodec:

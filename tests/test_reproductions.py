@@ -6,7 +6,6 @@ import pytest
 from ccflab import (
     ExampleReport,
     PointSet,
-    WeightedLpSpace,
     ap_ccf_check,
     embed_lp3,
     example_c0_truncated,
@@ -14,7 +13,9 @@ from ccflab import (
     pnorm,
     sp_closed_form,
     summary_markdown,
+    sup_plus_weighted_l2,
     symmetric_line_minimize,
+    weighted_pnorm,
     write_reports,
 )
 
@@ -110,31 +111,49 @@ class TestApWitness:
 
 class TestEmbedding:
     def test_weighted_case(self):
-        report = embed_lp3(WeightedLpSpace(3.0, (2.0, 0.5, 1.0, 3.0)), (0, 1, 2), 1000, 0)
+        report = embed_lp3(weighted_pnorm(3.0, (2.0, 0.5, 1.0, 3.0)), (0, 1, 2), 1000, 0)
         assert report.overall
 
     def test_uniform_weights_reduce_to_coordinates(self):
-        report = embed_lp3(WeightedLpSpace(1.5, (1.0, 1.0, 1.0, 1.0)), (0, 1, 2), 300, 0)
+        report = embed_lp3(weighted_pnorm(1.5, (1.0, 1.0, 1.0, 1.0)), (0, 1, 2), 300, 0)
         assert report.overall
 
     def test_retraction_exact_for_rational_weights(self):
-        report = embed_lp3(WeightedLpSpace(3.0, (2.0, 0.5, 1.0, 3.0)), (0, 1, 2), 300, 1)
+        report = embed_lp3(weighted_pnorm(3.0, (2.0, 0.5, 1.0, 3.0)), (0, 1, 2), 300, 1)
         retraction = next(c for c in report.checks if "retraction" in c.description)
         assert retraction.passed
 
     def test_duplicate_atoms_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            embed_lp3(WeightedLpSpace(3.0, (1.0, 1.0, 1.0)), (0, 0, 1))
+            embed_lp3(weighted_pnorm(3.0, (1.0, 1.0, 1.0)), (0, 0, 1))
+
+    def test_atom_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="out of range for dim 3"):
+            embed_lp3(weighted_pnorm(3.0, (1.0, 1.0, 1.0)), (0, 1, 3))
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            WeightedLpSpace(3.0, (1.0, -2.0, 1.0))
+            weighted_pnorm(3.0, (1.0, -2.0, 1.0))
+
+    @pytest.mark.parametrize("norm", [pnorm(3, 3.0), sup_plus_weighted_l2((1.0, 1.0, 1.0))], ids=["pnorm", "sup"])
+    def test_other_norm_families_rejected(self, norm):
+        with pytest.raises(ValueError, match="weighted p-norm"):
+            embed_lp3(norm, (0, 1, 2))
 
 
 class TestReportPlumbing:
     def test_overall_is_conjunction(self):
         report = example_finite_dim(3)
         assert report.overall == all(c.passed for c in report.checks)
+
+    def test_overall_is_derived_from_the_checks(self):
+        data = example_finite_dim(3).to_dict()
+        assert list(data) == ["name", "parameters", "checks", "overall"]
+        data["checks"][1]["passed"] = False
+        data["overall"] = True  # a stored flag is ignored when read back
+        report = ExampleReport.from_dict(data)
+        assert report.overall is False
+        assert report.to_dict()["overall"] is False
 
     def test_json_round_trip(self):
         report = ap_ccf_check(1.5, 100.0)
