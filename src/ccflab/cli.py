@@ -21,14 +21,14 @@ the flags it reads:
 
 * all: ``--output`` and ``--seed`` (seeds sampling; commands that draw none
   ignore it), and ``--input`` except ``reproduce``;
-* the commands that solve (``center``, ``ccf-verify``, ``scan``,
-  ``reproduce``): ``--max-iters`` (ellipsoid iterations per working-set
-  round, at least 1) and ``--tol solver=`` (the certified gap that counts
-  as converged);
+* the commands that solve (``center``, ``ccf-verify``, ``scan``, and each
+  ``reproduce`` target but ``sp-grid``): ``--max-iters`` (ellipsoid
+  iterations per working-set round, at least 1) and ``--tol solver=`` (the
+  certified gap that counts as converged);
 * ``cap-check``: ``--tol cap=`` (the excess that counts as contained);
-* ``scan``: ``--format json|csv``; ``reproduce``: the target (one of
-  ``REPRODUCE_TARGETS`` or ``all``), ``--n``, ``--trunc``, ``--p``, ``--t``
-  and ``--weights``.
+* ``scan``: ``--format json|csv``; ``reproduce`` has one subcommand per
+  target, and a target's flags follow it: ``finite-dim --n``,
+  ``c0 --trunc``, ``ap-witness --p --t``, ``embedding --p --weights``.
 
 Every other tolerance and sample count is a field of the input JSON.  The
 counts must be positive: ``scan`` needs ``z_count`` and ``samples`` of at
@@ -38,6 +38,7 @@ least 1, ``cap-check`` ``samples`` of at least 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -231,30 +232,17 @@ def reproduce_all(
     return reports, scans, summary
 
 
-# The single-report reproduce targets, each building its report from the
-# parsed flags and the solver options; ``reproduce all`` runs reproduce_all.
-REPRODUCE_TARGETS = {
-    "finite-dim": lambda args, opts: example_finite_dim(args.n, opts),
-    "c0": lambda args, opts: example_c0_truncated(args.trunc, opts),
-    "sp-grid": lambda args, opts: sp_grid_check(),
-    "ap-witness": lambda args, opts: ap_ccf_check(1.5 if args.p is None else args.p, args.t, opts),
-    "embedding": lambda args, opts: embed_lp3(
-        weighted_pnorm(EMBEDDING_NORM.family.p if args.p is None else args.p, args.weights.split(",")),
-        (0, 1, 2), seed=args.seed, opts=opts,
-    ),
-}
-
-
 def _cmd_reproduce(args) -> int:
-    opts = _solver_options(args)
-    if args.target == "all":
-        reports, _, summary = reproduce_all(seed=args.seed, out_dir=args.output, opts=opts)
-        if not args.output:
-            sys.stdout.write(summary)
-        return EXIT_OK if all(r.overall for r in reports) else EXIT_VERDICT
-    report = REPRODUCE_TARGETS[args.target](args, opts)
+    report = args.build(args)
     _emit(args, report.to_dict())
     return EXIT_OK if report.overall else EXIT_VERDICT
+
+
+def _cmd_reproduce_all(args) -> int:
+    reports, _, summary = reproduce_all(seed=args.seed, out_dir=args.output, opts=_solver_options(args))
+    if not args.output:
+        sys.stdout.write(summary)
+    return EXIT_OK if all(r.overall for r in reports) else EXIT_VERDICT
 
 
 def _tol_arg(name: str):
@@ -275,6 +263,7 @@ def _tol_arg(name: str):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccflab",
@@ -282,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, *, solves=False, tol=None, takes_input=True):
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run)
+    def command(name, run, summary, *, parent=sub, solves=False, tol=None, takes_input=True, **defaults):
+        p = parent.add_parser(name, help=summary)
+        p.set_defaults(run=run, **defaults)
         if takes_input:
             p.add_argument("--input", required=True, help="path to JSON input, or inline JSON")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
@@ -308,15 +297,25 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--format", choices=("json", "csv"), default="json")
     command("cap-check", _cmd_cap_check, "planar cap containment check", tol=("cap", 1e-9))
 
-    rep = command("reproduce", _cmd_reproduce, "run a benchmark reproduction", solves=True, takes_input=False)
-    rep.add_argument("target", choices=(*REPRODUCE_TARGETS, "all"))
-    rep.add_argument("--n", type=int, default=3, help="dimension for finite-dim")
-    rep.add_argument("--trunc", type=int, default=10, help="truncation size for c0")
-    rep.add_argument("--p", type=float, default=None,
-                     help=f"exponent (ap-witness default 1.5, embedding default {EMBEDDING_NORM.family.p:g})")
-    rep.add_argument("--t", type=float, default=100.0)
-    rep.add_argument("--weights", default=",".join(f"{w:g}" for w in EMBEDDING_NORM.family.weights),
-                     help="comma-separated atom weights for embedding (default %(default)s)")
+    targets = sub.add_parser("reproduce", help="run a reproduction").add_subparsers(dest="target", required=True)
+
+    def target(name, summary, run=_cmd_reproduce, solves=True, **defaults):
+        return command(name, run, summary, parent=targets, solves=solves, takes_input=False, **defaults)
+
+    dims = target("finite-dim", "the finite-dim CCF set", build=lambda a: example_finite_dim(a.n, _solver_options(a)))
+    dims.add_argument("--n", type=int, default=3, help="dimension (default %(default)s)")
+    c0 = target("c0", "the truncated c0 witness", build=lambda a: example_c0_truncated(a.trunc, _solver_options(a)))
+    c0.add_argument("--trunc", type=int, default=10, help="truncation size (default %(default)s)")
+    target("sp-grid", "s_p on a grid of exponents", solves=False, build=lambda a: sp_grid_check())
+    ap = target("ap-witness", "the lp^3 CCF witness", build=lambda a: ap_ccf_check(a.p, a.t, _solver_options(a)))
+    ap.add_argument("--p", type=float, default=1.5, help="exponent (default %(default)s)")
+    ap.add_argument("--t", type=float, default=100.0, help="viewpoint scale (default %(default)s)")
+    emb = target("embedding", "the lp^3 witness in a weighted lp", build=lambda a: embed_lp3(
+        weighted_pnorm(a.p, a.weights.split(",")), (0, 1, 2), seed=a.seed, opts=_solver_options(a)))
+    emb.add_argument("--p", type=float, default=EMBEDDING_NORM.family.p, help="exponent (default %(default)s)")
+    emb.add_argument("--weights", default=",".join(f"{w:g}" for w in EMBEDDING_NORM.family.weights),
+                     help="comma-separated atom weights (default %(default)s)")
+    target("all", "every report and the reference scans", _cmd_reproduce_all)
 
     return parser
 

@@ -13,6 +13,7 @@ concurrently.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -62,13 +63,15 @@ def as_vector(x, dim: int, name: str = "x") -> np.ndarray:
 def json_scalar(kind: type, value):
     """``value`` as ``kind`` (int, float, str or bool) if it has that JSON type.
 
-    A float takes any JSON number, integers included; a boolean is a bool
-    and nothing else.  Anything else raises ValueError rather than being
-    coerced.
+    A float takes any JSON number within the float range, integers included;
+    a boolean is a bool and nothing else.  Anything else raises ValueError
+    rather than being coerced, or rounded to infinity.
     """
     allowed = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
         raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ValueError("expected float, got a number out of the finite float range")
     return kind(value)
 
 

@@ -299,7 +299,7 @@ def ap_ccf_check(p: float, t: float = 100.0, opts: SolverOptions | None = None) 
     the viewpoint is (-t, -t, -t) with the mirrored inequality.  A failing
     inequality means t is too small for this p, not a bug.
     """
-    if not (p > 1.0) or p == 2.0:
+    if not (1.0 < p < np.inf) or p == 2.0:
         raise ValueError(f"requires p in (1,2) or (2,inf), got {p}")
     if not (t > 1.0):
         raise ValueError(f"requires t > 1, got {t}")

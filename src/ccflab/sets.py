@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Record, csv_text
+from .codec import Record
 from .norms import NormSpec, _as_batch, as_vector, eval_norm
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "farthest_set",
     "diameter",
     "is_centerable",
-    "distance_matrix_csv",
 ]
 
 # All benchmark geometries have O(1) magnitudes, so achiever detection uses an
@@ -126,10 +125,3 @@ def is_centerable(A: PointSet, radius: float, tol: float) -> bool:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     return abs(radius - diameter(A) / 2.0) <= tol
 
-
-def distance_matrix_csv(A: PointSet, viewpoints) -> str:
-    """CSV of distances: one row per point, one column per viewpoint."""
-    vps = _as_batch(np.atleast_2d(viewpoints), A.dim, "viewpoints", ndim=2)
-    rows = [["point"] + ["|".join(repr(float(c)) for c in vp) for vp in vps]]
-    rows += [[i, *map(float, eval_norm(A.norm, vps - pt))] for i, pt in enumerate(A.points)]
-    return csv_text(rows)

@@ -15,6 +15,9 @@ from ccflab.ccf import ccnf_scan
 from ccflab.cli import main, reproduce_all
 from ccflab.solver import SolverOptions
 
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (perfbench/workloads.py, which builds the benchmark's CLI requests)
+
 EUCLID_PAIR = {
     "norm": {"dim": 2, "family": {"pnorm": 2}},
     "points": [[1.0, 0.0], [-1.0, 0.0]],
@@ -341,22 +344,23 @@ class TestArtifacts:
         assert json.loads(out)["contained"] is True
 
 
-# A small witness set, and one request of each argv shape that
-# perfbench/workloads.py passes to cli.main, with the exit code it gets today.
+# The witness workload's warm-up set.
 SMALL_L1 = {"norm": {"dim": 2, "family": {"pnorm": 1.0}}, "points": [[0.0, 0.0], [1.0, 0.5], [0.2, 1.0]]}
-BENCHMARK_ARGV = [
-    (["center", "--input", json.dumps(SMALL_L1), "--seed", "7"], 0),
-    (["center", "--input", json.dumps(SMALL_L1), "--max-iters", "20", "--starts", "1"], 3),
-    (["ccf-verify", "--input", json.dumps(L1_WITNESS), "--seed", "7"], 0),
-    (["farthest", "--input", json.dumps({"set": SMALL_L1, "viewpoint": [2.0, 2.0]})], 0),
-    (["reproduce", "finite-dim", "--n", "3", "--seed", "7"], 0),
-    (["reproduce", "c0", "--seed", "7"], 0),
-    (["reproduce", "sp-grid", "--seed", "7"], 0),
-    (["reproduce", "sp-grid"], 0),
-    (["reproduce", "ap-witness", "--p", "3", "--seed", "7"], 0),
-    (["reproduce", "embedding", "--seed", "7"], 0),
-]
 
+
+def _benchmark_argv():
+    """Every request the benchmark's witness workload passes to cli.main, with
+    the exit code it gets: the requests of a full and of a tiny pass made from
+    seed 7, built by perfbench/workloads.py and each exiting 0, and the
+    warm-up's center request on a small witness set, which exits 3."""
+    rows = [pytest.param(["center", "--input", json.dumps(SMALL_L1), "--max-iters", "20", "--starts", "1"], 3,
+                         id="center --max-iters 20 --starts 1")]
+    for tiny in (False, True):
+        for req in workloads.witness_requests(7, tiny):
+            argv = req["argv"]
+            name = req["label"] + " tiny" * tiny if argv[1:2] == ["--input"] else " ".join(argv)
+            rows.append(pytest.param(argv, 0, id=name))
+    return rows
 
 
 def _argv_id(argv):
@@ -368,7 +372,7 @@ SCAN_INPUT = {"norm": norm_to_dict(pnorm(2, 2)), "z_count": 1, "t_grid": [0.5], 
 
 
 class TestFlags:
-    @pytest.mark.parametrize("argv, code", BENCHMARK_ARGV, ids=[_argv_id(argv) for argv, _ in BENCHMARK_ARGV])
+    @pytest.mark.parametrize("argv, code", _benchmark_argv())
     def test_benchmark_argv_keeps_exit_code(self, capsys, argv, code):
         assert run(capsys, *argv)[0] == code
 
@@ -388,6 +392,14 @@ class TestFlags:
         ["cap-check", "--input", json.dumps(CAP_INPUT), "--tol", "solver=1e-3"],
         ["center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver"],
         ["center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver=tight"],
+        # Each reproduce target takes only its own flags.
+        ["reproduce", "sp-grid", "--p", "4"],
+        ["reproduce", "sp-grid", "--max-iters", "5"],
+        ["reproduce", "finite-dim", "--trunc", "5"],
+        ["reproduce", "c0", "--n", "4"],
+        ["reproduce", "ap-witness", "--weights", "1,2,3"],
+        ["reproduce", "embedding", "--t", "50"],
+        ["reproduce", "all", "--n", "4"],
     ], ids=_argv_id)
     def test_removed_flag_or_tol_name_exits_two(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -451,6 +463,22 @@ class TestStandardJson:
         assert code == 2
         assert out == ""
         assert f"{constant} in {in_file} is not standard JSON" in err
+
+    # A number beyond the float range exits 2 and names its key, rather than
+    # raising OverflowError (an integer too large for a float) or being read
+    # as infinity (a float literal that overflows).
+    @pytest.mark.parametrize("command, text, key", [
+        ("farthest", json.dumps({"set": EUCLID_PAIR, "viewpoint": [0.0, 2.0]})[:-1] + ', "tol": 1%s}' % ("0" * 400),
+         "tol"),
+        ("farthest", json.dumps({"set": EUCLID_PAIR, "viewpoint": [0.0, 2.0]})[:-1] + ', "tol": 1e999}', "tol"),
+        ("center", json.dumps(EUCLID_PAIR).replace("-1.0", "-1%s" % ("0" * 400)), "points"),
+        ("ccf-verify", json.dumps(L1_WITNESS)[:-1] + ', "center_tol": 1e999}', "center_tol"),
+    ], ids=["farthest huge-int tol", "farthest 1e999 tol", "center huge-int point", "ccf-verify 1e999 center_tol"])
+    def test_number_beyond_float_range_exit_two(self, capsys, command, text, key):
+        code, out, err = run(capsys, command, "--input", text)
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err and "out of the finite float range" in err
 
 
 class TestModuleEntryPoint:
@@ -540,6 +568,7 @@ class TestReproduceCommand:
         (["ap-witness", "--t", "1"], "requires t > 1, got 1.0"),
         (["embedding", "--weights", "1,-2,3"], "weighted p-norm weights must all be positive"),
         (["embedding", "--p", "1"], "weighted p-norm requires 1 < p < inf, got 1.0"),
+        (["ap-witness", "--p", "inf"], "requires p in (1,2) or (2,inf), got inf"),
     ], ids=" ".join)
     def test_bad_target_argument_exit_two(self, capsys, argv, message):
         code, out, err = run(capsys, "reproduce", *argv)

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from ccflab import PointSet, ccnf_scan, distance_matrix_csv, pnorm
+from ccflab import PointSet, ccnf_scan, pnorm
 from ccflab.cli import CapInput  # also defines the other CLI input records
 from ccflab.codec import Record, _schema, csv_text, write_text
 from ccflab.reproductions import Check
@@ -77,6 +77,21 @@ def test_array_entry_must_be_a_number(cls, obj, key):
         cls.from_dict(obj)
 
 
+# A number beyond the float range is rejected, not rounded to infinity: an
+# integer too large for a float, and a float literal such as 1e999 that
+# json.loads reads as inf.  p = inf is written as the string "inf".
+@pytest.mark.parametrize("cls, obj, key", [
+    (FarthestQuery, {"viewpoint": [0.0], "radius": 10**400, "achievers": [0], "tolerance": 1e-9}, "radius"),
+    (FarthestQuery, {"viewpoint": [0.0], "radius": 1.0, "achievers": [0], "tolerance": float("inf")}, "tolerance"),
+    (PointSet, {"norm": L2, "points": [[0.0, 1.0], [10**400, 0.0]]}, "points"),
+    (PointSet, {"norm": L2, "points": [[0.0, 1.0], [-float("inf"), 0.0]]}, "points"),
+    (PointSet, {"norm": {"dim": 2, "family": {"pnorm": float("inf")}}, "points": [[0.0, 1.0]]}, "norm"),
+])
+def test_number_beyond_float_range_names_its_key(cls, obj, key):
+    with pytest.raises(ValueError, match=f"key {key!r}: expected float, got a number out of the finite float range"):
+        cls.from_dict(obj)
+
+
 def test_array_takes_integers():
     A = PointSet.from_dict({"norm": L2, "points": [[0, 1], [2, -3]]})
     assert A.points.dtype == float and A.points.tolist() == [[0.0, 1.0], [2.0, -3.0]]
@@ -112,7 +127,7 @@ def test_csv_text_cells():
     assert csv_text([]) == ""
 
 
-# The bytes of the scan and distance CSVs, as written before they shared csv_text.
+# The bytes of the scan CSV, as written before it used csv_text.
 SCAN_CSV = (
     "z_1,z_2,t,r_hat,ratio,samples,accept_ratio\n"
     "-0.5852130642474351,0.928155107619747,0.5,0.4433107350064404,0.8866214700128808,300,0.7166666666666667\n"
@@ -129,16 +144,8 @@ L1_SCAN_CSV = (
     "-0.9847904770760211,0.015209522923978975,0.4,0.20748050122345033,0.5187012530586258,300,0.29333333333333333\n"
     "-0.9847904770760211,0.015209522923978975,1.0,0.5086829951244509,0.5086829951244509,300,0.2833333333333333\n"
 )
-DISTANCE_CSV = (
-    "point,0.0|0.0,1.5|-2.0,0.1|0.3333333333333333\n"
-    "0,1.0,2.1633743554611127,1.0306103058317153\n"
-    "1,1.0,3.670891222157213,0.6922427999953519\n"
-    "2,0.8254662460033471,1.985045015528581,1.0911897362191825\n"
-)
 
 
 def test_csv_artifact_bytes():
     assert ccnf_scan(pnorm(2, 3), 2, (0.5, 1.0), 300, seed=7).to_csv() == SCAN_CSV
     assert ccnf_scan(pnorm(2, 1), 2, (0.4, 1.0), 300, seed=7).to_csv() == L1_SCAN_CSV
-    A = PointSet(pnorm(2, 1.5), [[1, 0], [0, 1], [0.3, -0.7]])
-    assert distance_matrix_csv(A, [[0, 0], [1.5, -2], [0.1, 1 / 3]]) == DISTANCE_CSV

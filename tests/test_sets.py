@@ -5,7 +5,6 @@ from ccflab import (
     PointSet,
     diameter,
     distance,
-    distance_matrix_csv,
     farthest_set,
     is_centerable,
     outer_radius,
@@ -209,15 +208,3 @@ class TestSampledInvariants:
             shifted = PointSet(A.norm, A.points + h)
             r0 = outer_radius(A, x)
             assert outer_radius(shifted, x + h) == pytest.approx(r0, abs=1e-12 * (1.0 + r0))
-
-
-def test_distance_matrix_csv_layout():
-    A = PointSet(pnorm(2, 1), [[1.0, 0.0], [0.0, 1.0]])
-    csv = distance_matrix_csv(A, [[0.0, 0.0], [1.0, 1.0]])
-    lines = csv.strip().split("\n")
-    assert len(lines) == 3
-    assert lines[0].startswith("point,")
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert float(first[1]) == 1.0  # |(1,0)| in l1
-    assert float(first[2]) == 1.0  # |(1,0)-(1,1)| in l1
