@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Record, csv_text
-from .norms import NormSpec, as_vector, eval_norm
+from .norms import NormSpec, _eval_family, as_vector
 from .sampling import rejection_sample_two_balls, rng_stream, sample_unit_vectors
 from .sets import DEFAULT_ACHIEVER_TOL, PointSet, _achievers, outer_radius
 from .solver import CenterResult, SolverOptions, chebyshev_center
@@ -124,7 +124,7 @@ def verify_ccf_witness(w: CcfWitness, opts: SolverOptions | None = None) -> Witn
     r_claimed = outer_radius(A, claimed)
     center_margin = solved.radius + w.center_tol - r_claimed
 
-    dists = eval_norm(A.norm, A.points - w.viewpoint)
+    dists = _eval_family(A.norm.family, A.points - w.viewpoint)
     d_claimed = float(dists[w.center_index])
     rivals = np.delete(dists, w.center_index)
     far_margin = d_claimed - (float(np.max(rivals)) if rivals.size else 0.0)
@@ -165,7 +165,7 @@ def amplify_witness(A: PointSet, c, z, t: float) -> np.ndarray:
 
 def _require_farthest(A: PointSet, c: np.ndarray, y: np.ndarray) -> None:
     """Reject c when a point of A is farther from y, up to DEFAULT_ACHIEVER_TOL."""
-    d_c = float(eval_norm(A.norm, c - y))
+    d_c = float(_eval_family(A.norm.family, c - y))
     r_y = outer_radius(A, y)
     if d_c < r_y - DEFAULT_ACHIEVER_TOL:
         raise ValueError(f"rejected: c is not farthest in A from the viewpoint ({r_y} > {d_c})")
@@ -192,7 +192,7 @@ class TwoBallSet(Record):
         r, R = float(self.r), float(self.R)
         if not (0.0 <= r < np.inf and 0.0 <= R < np.inf):
             raise ValueError(f"ball radii must be finite and nonnegative, got r = {r}, R = {R}")
-        d_cy = float(eval_norm(self.norm, self.c - self.y))
+        d_cy = float(_eval_family(self.norm.family, self.c - self.y))
         if max(r, d_cy) > R + 1e-9 * (1.0 + R):
             raise ValueError(f"invariant violated: r = {r} or ||c - y|| = {d_cy} exceeds R = {R}")
         object.__setattr__(self, "r", r)
@@ -229,7 +229,7 @@ def build_two_ball_set(A: PointSet, c, r: float, y, *, seed: int = 0) -> TwoBall
     """
     ac = as_vector(c, A.dim, "c")
     ay = as_vector(y, A.dim, "y")
-    U = TwoBallSet(c=ac, r=r, y=ay, R=float(eval_norm(A.norm, ac - ay)), norm=A.norm, sampler_seed=seed)
+    U = TwoBallSet(c=ac, r=r, y=ay, R=float(_eval_family(A.norm.family, ac - ay)), norm=A.norm, sampler_seed=seed)
     _require_farthest(A, ac, ay)
     return U
 
@@ -279,15 +279,15 @@ def check_two_ball_properties(
     """Exercise the two-ball body's containment and radius properties, each
     up to DEFAULT_ACHIEVER_TOL."""
     tol = DEFAULT_ACHIEVER_TOL
-    d_c = eval_norm(A.norm, A.points - U.c)
-    d_y = eval_norm(A.norm, A.points - U.y)
+    d_c = _eval_family(A.norm.family, A.points - U.c)
+    d_y = _eval_family(A.norm.family, A.points - U.y)
     containment = bool(np.all(d_c <= U.r + tol) and np.all(d_y <= U.R + tol))
 
     pts, accepted, proposed = U.sample(samples)
     sample_set = PointSet(A.norm, pts)
     solved = chebyshev_center(sample_set, opts, extra_starts=[U.c])
     r_c_sample = outer_radius(sample_set, U.c)
-    max_to_y = float(np.max(eval_norm(A.norm, pts - U.y)))
+    max_to_y = float(np.max(_eval_family(A.norm.family, pts - U.y)))
     return TwoBallReport(
         containment_ok=containment,
         sample_radius_ok=bool(solved.radius <= U.r + tol),
@@ -462,7 +462,7 @@ def _cell_seed(seed: int, zi: int, ti: int) -> int:
 def _on_unit_sphere(norm: NormSpec, v, name: str) -> np.ndarray:
     """``v`` as a vector, checked to lie on the unit sphere (tolerance 1e-9)."""
     av = as_vector(v, norm.dim, name)
-    if abs(float(eval_norm(norm, av)) - 1.0) > 1e-9:
+    if abs(float(_eval_family(norm.family, av)) - 1.0) > 1e-9:
         raise ValueError(f"{name} must lie on the unit sphere of the ambient norm")
     return av
 
@@ -483,7 +483,7 @@ def cap_containment_check(norm: NormSpec, u, v, samples: int = 256) -> float:
     au = _on_unit_sphere(norm, u, "u")
     av = _on_unit_sphere(norm, v, "v")
     w = (au + av) / 2.0
-    r = float(eval_norm(norm, au - av)) / 2.0
+    r = float(_eval_family(norm.family, au - av)) / 2.0
     if r == 0.0:
         return 0.0  # degenerate chord: the cap is the single point u
 
@@ -503,5 +503,5 @@ def cap_containment_check(norm: NormSpec, u, v, samples: int = 256) -> float:
     sweep = delta if delta < np.pi else delta - 2.0 * np.pi
     angles = phi_u + sweep * np.linspace(0.0, 1.0, samples)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    cap = dirs / eval_norm(norm, dirs)[:, None]
-    return float(np.max(eval_norm(norm, cap - w)) - r)
+    cap = dirs / _eval_family(norm.family, dirs)[:, None]
+    return float(np.max(_eval_family(norm.family, cap - w)) - r)

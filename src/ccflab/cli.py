@@ -271,12 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, *, parent=sub, solves=False, tol=None, takes_input=True, **defaults):
+    def command(name, run, summary, *, parent=sub, solves=False, tol=None, takes_input=True,
+                output="output path (default: stdout)", **defaults):
         p = parent.add_parser(name, help=summary)
         p.set_defaults(run=run, **defaults)
         if takes_input:
             p.add_argument("--input", required=True, help="path to JSON input, or inline JSON")
-        p.add_argument("--output", default=None, help="output path (default: stdout)")
+        p.add_argument("--output", default=None, help=output)
         p.add_argument("--seed", type=int, default=0, help="seeds sampling (commands that draw none ignore it)")
         if solves:
             p.add_argument("--max-iters", type=int, default=None,
@@ -315,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     emb.add_argument("--p", type=float, default=EMBEDDING_NORM.family.p, help="exponent (default %(default)s)")
     emb.add_argument("--weights", default=",".join(f"{w:g}" for w in EMBEDDING_NORM.family.weights),
                      help="comma-separated atom weights (default %(default)s)")
-    target("all", "every report and the reference scans", _cmd_reproduce_all)
+    target("all", "every report and the reference scans", _cmd_reproduce_all,
+           output="directory for reports/, the scan CSVs and summary.md (default: the summary to stdout)")
 
     return parser
 

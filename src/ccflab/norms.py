@@ -7,8 +7,10 @@ spaces).  Because the enumeration is closed and fully declarative, every
 downstream computation can be serialized, replayed and tested bit-identically;
 no user-supplied callbacks are accepted.
 
-All evaluators are pure functions of immutable values and are safe to call
-concurrently.
+The public evaluators check their arguments, for callers outside ccflab; its
+other modules call the unchecked kernels ``_eval_family`` / ``_subgrad_family``
+on arrays checked where they entered.  All evaluators are pure functions of
+immutable values and are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -63,15 +65,17 @@ def as_vector(x, dim: int, name: str = "x") -> np.ndarray:
 def json_scalar(kind: type, value):
     """``value`` as ``kind`` (int, float, str or bool) if it has that JSON type.
 
-    A float takes any JSON number within the float range, integers included;
-    a boolean is a bool and nothing else.  Anything else raises ValueError
-    rather than being coerced, or rounded to infinity.
+    A float takes any JSON number in the float range, integers included; an
+    int any integer in the int64 range; a boolean only a bool.  Anything else
+    raises ValueError rather than being coerced, or rounded to infinity.
     """
     allowed = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
         raise ValueError(f"expected {kind.__name__}, got {value!r}")
     if kind is float and not abs(value) <= sys.float_info.max:
         raise ValueError("expected float, got a number out of the finite float range")
+    if kind is int and not -(2**63) <= value < 2**63:
+        raise ValueError("expected int, got a number out of the int64 range")
     return kind(value)
 
 
@@ -283,13 +287,12 @@ def norm_subgradient(norm: NormSpec, v) -> np.ndarray:
     lowest argmax coordinate.  At v = 0 the zero vector is returned (a valid
     subgradient of any norm at the origin).
     """
-    av = as_vector(v, norm.dim, "v")
-    if not np.any(av):
-        return np.zeros(norm.dim)
-    return _subgrad_family(norm.family, av)
+    return _subgrad_family(norm.family, as_vector(v, norm.dim, "v"))
 
 
 def _subgrad_family(fam: Family, v: np.ndarray) -> np.ndarray:
+    if not np.any(v):
+        return np.zeros_like(v)
     if isinstance(fam, PNorm):
         p = fam.p
         if p == 1.0:

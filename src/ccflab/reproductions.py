@@ -32,7 +32,7 @@ import numpy as np
 
 from .ccf import CcfWitness, verify_ccf_witness
 from .codec import Record, json_text, write_text
-from .norms import NormSpec, WeightedPNorm, eval_norm, pnorm, sum_composite, sup_plus_weighted_l2
+from .norms import NormSpec, WeightedPNorm, _eval_family, pnorm, sum_composite, sup_plus_weighted_l2
 from .sampling import rng_stream
 from .sets import PointSet, diameter, farthest_set, outer_radius
 from .solver import SolverOptions, chebyshev_center, symmetric_line_minimize
@@ -109,7 +109,7 @@ def example_finite_dim(n: int, opts: SolverOptions | None = None) -> ExampleRepo
     z = np.ones(n)
     checks: list[Check] = []
 
-    d_basis = eval_norm(norm, z - np.eye(n))
+    d_basis = _eval_family(norm.family, z - np.eye(n))
     want_basis = (n - 1) + np.sqrt(n - 1) / 2.0
     checks.append(
         _check(
@@ -120,7 +120,7 @@ def example_finite_dim(n: int, opts: SolverOptions | None = None) -> ExampleRepo
         )
     )
 
-    d_origin = float(eval_norm(norm, z))
+    d_origin = float(_eval_family(norm.family, z))
     want_origin = n + np.sqrt(n) / 2.0
     checks.append(
         _check(
@@ -143,7 +143,7 @@ def example_finite_dim(n: int, opts: SolverOptions | None = None) -> ExampleRepo
 
     s_star, r_star = symmetric_line_minimize(A, z)
     s_grid = np.linspace(-2.0, 2.0, 401)
-    scan_min = min(float(np.max(eval_norm(norm, s * z - pts))) for s in s_grid)
+    scan_min = min(float(np.max(_eval_family(norm.family, s * z - pts))) for s in s_grid)
     line_ok = abs(s_star) <= 1e-6 and scan_min >= 1.5 - 1e-12
     checks.append(
         _check(
@@ -199,7 +199,7 @@ def example_c0_truncated(N: int, opts: SolverOptions | None = None) -> ExampleRe
     A = PointSet(norm, np.vstack(pts))
     checks: list[Check] = []
 
-    norms_obs = eval_norm(norm, A.points[1:])
+    norms_obs = _eval_family(norm.family, A.points[1:])
     want = (1.0 - 1.0 / ns) + np.sqrt(
         1.0 / (4.0 * ns**2) + 4.0**-ns * (1.0 - 1.0 / ns) ** 2
     )
@@ -238,7 +238,7 @@ def example_c0_truncated(N: int, opts: SolverOptions | None = None) -> ExampleRe
 
     e1 = np.zeros(N)
     e1[0] = 1.0
-    d_e1 = eval_norm(norm, A.points[1:] - e1)
+    d_e1 = _eval_family(norm.family, A.points[1:] - e1)
     want_e1 = np.repeat((1.0 - 1.0 / ns) * (1.0 + np.sqrt(0.25 + 4.0**-ns)), 2)
     dev_e1 = float(np.max(np.abs(d_e1 - want_e1)))
     fq = farthest_set(A, e1)
@@ -395,7 +395,7 @@ def embed_lp3(
 
     l3 = pnorm(3, p)
     xs = rng.normal(size=(test_vectors, 3))
-    iso_dev = float(np.max(np.abs(eval_norm(norm, xs @ basis) - eval_norm(l3, xs))))
+    iso_dev = float(np.max(np.abs(_eval_family(norm.family, xs @ basis) - _eval_family(l3.family, xs))))
     checks.append(
         _check("isometry: ||T x|| matches ||x||_p", "dev <= 1e-12", f"{iso_dev:.2e}", iso_dev <= 1e-12)
     )
@@ -407,8 +407,8 @@ def embed_lp3(
     )
 
     fs = rng.normal(size=(test_vectors, m))
-    norm_P = eval_norm(norm, np.where(keep, fs, 0.0))
-    norm_f = eval_norm(norm, fs)
+    norm_P = _eval_family(norm.family, np.where(keep, fs, 0.0))
+    norm_f = _eval_family(norm.family, fs)
     proj_ok = bool(np.all(norm_P <= norm_f + 1e-12))
     checks.append(
         _check(

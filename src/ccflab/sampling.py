@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from .norms import NormSpec, eval_norm, linf_lower_constant
+from .norms import NormSpec, _eval_family, as_vector, linf_lower_constant
 
 __all__ = [
     "rng_stream",
@@ -40,7 +40,7 @@ def sample_unit_vectors(norm: NormSpec, count: int, rng: np.random.Generator) ->
     have = 0
     while have < count:
         cand = rng.uniform(-1.0, 1.0, size=(2 * (count - have) + 8, norm.dim))
-        lens = eval_norm(norm, cand)
+        lens = _eval_family(norm.family, cand)
         keep = lens > 1e-6
         cand, lens = cand[keep], lens[keep]
         take = min(count - have, len(cand))
@@ -66,10 +66,11 @@ def rejection_sample_two_balls(
     accepted points are uniform on the intersection body.  When the boxes
     are disjoint, or ``proposals`` is 0, no row is accepted.
     """
+    c, y = as_vector(c, norm.dim, "c"), as_vector(y, norm.dim, "y")
     a = linf_lower_constant(norm)
     lo = np.maximum(c - r / a, y - R / a)
     hi = np.minimum(c + r / a, y + R / a)
     cand = rng.uniform(size=(proposals, norm.dim)) * (hi - lo) + lo
-    keep = (eval_norm(norm, cand - c) <= r) & (eval_norm(norm, cand - y) <= R)
+    keep = (_eval_family(norm.family, cand - c) <= r) & (_eval_family(norm.family, cand - y) <= R)
     pts = cand[keep]
     return pts, int(pts.shape[0]), proposals

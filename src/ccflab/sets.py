@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Record
-from .norms import NormSpec, _as_batch, as_vector, eval_norm
+from .norms import NormSpec, _as_batch, _eval_family, as_vector
 
 __all__ = [
     "DEFAULT_ACHIEVER_TOL",
@@ -75,14 +75,9 @@ class FarthestQuery(Record):
     tolerance: float
 
 
-def _distances_from(A: PointSet, x: np.ndarray) -> np.ndarray:
-    return eval_norm(A.norm, A.points - x)
-
-
 def outer_radius(A: PointSet, x) -> float:
     """max_a ||x - a|| over the (finite) set: the outer radius at x."""
-    ax = as_vector(x, A.dim)
-    return float(np.max(_distances_from(A, ax)))
+    return float(np.max(_eval_family(A.norm.family, A.points - as_vector(x, A.dim))))
 
 
 def _achievers(dists: np.ndarray, tol: float) -> tuple[int, ...]:
@@ -96,8 +91,8 @@ def farthest_set(A: PointSet, x, tol: float = DEFAULT_ACHIEVER_TOL) -> FarthestQ
     """All indices achieving the outer radius at ``x`` up to ``tol``."""
     if not (tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol}")
-    ax = as_vector(x, A.dim)
-    dists = _distances_from(A, ax)
+    ax = as_vector(x, A.dim, "viewpoint")
+    dists = _eval_family(A.norm.family, A.points - ax)
     return FarthestQuery(ax, float(np.max(dists)), _achievers(dists, tol), tol)
 
 
@@ -110,7 +105,7 @@ def diameter(A: PointSet) -> float:
     best = 0.0
     # Row-by-row keeps memory linear; sets here are small.
     for i in range(m - 1):
-        d = eval_norm(A.norm, pts[i + 1 :] - pts[i])
+        d = _eval_family(A.norm.family, pts[i + 1 :] - pts[i])
         best = max(best, float(np.max(d)))
     return best
 

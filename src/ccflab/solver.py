@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .codec import Record
-from .norms import as_vector, eval_norm, linf_lower_constant, norm_subgradient
+from .norms import _eval_family, _subgrad_family, as_vector, linf_lower_constant
 from .sets import DEFAULT_ACHIEVER_TOL, PointSet, _achievers
 
 __all__ = [
@@ -112,18 +112,18 @@ def _ellipsoid_round(A: PointSet, W: np.ndarray, x0: np.ndarray, max_iters: int)
     """
     n = A.dim
     x = x0
-    best_x, best_f = x0, float(np.max(eval_norm(A.norm, W - x0)))
+    best_x, best_f = x0, float(np.max(_eval_family(A.norm.family, W - x0)))
     L = np.eye(n) * (2.0 * best_f * np.sqrt(n) / linf_lower_constant(A.norm))
     lower = -np.inf
     k = 0
     while k < max_iters:
         k += 1
-        dists = eval_norm(A.norm, x - W)
+        dists = _eval_family(A.norm.family, x - W)
         i = int(np.argmax(dists))
         f = float(dists[i])
         if f < best_f:
             best_x, best_f = x, f
-        Lg = L.T @ norm_subgradient(A.norm, x - W[i])
+        Lg = L.T @ _subgrad_family(A.norm.family, x - W[i])
         width = float(np.linalg.norm(Lg))  # max of g.(x - y) over the ellipsoid
         lower = max(lower, f - width)
         if best_f - lower <= _ROUND_RTOL * max(1.0, best_f):
@@ -159,11 +159,11 @@ def chebyshev_center(
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     if A.dim == 1 or np.array_equal(lo, hi):
         # r(A) >= diam(A)/2, which the midpoint attains in one dimension.
-        lower = float(eval_norm(A.norm, hi - lo)) / 2.0
+        lower = float(_eval_family(A.norm.family, hi - lo)) / 2.0
         return _assemble(A, (lo + hi) / 2.0, lower, iterations=0)
 
     starts = [pts.mean(axis=0)] + [as_vector(s, A.dim, "start") for s in extra_starts or ()]
-    dists = [eval_norm(A.norm, pts - s) for s in starts]
+    dists = [_eval_family(A.norm.family, pts - s) for s in starts]
     k = int(np.argmin([np.max(d) for d in dists]))
     best_x, best_d = starts[k], dists[k]
     best_r = float(np.max(best_d))
@@ -177,7 +177,7 @@ def chebyshev_center(
         x, f_w, lb, its = _ellipsoid_round(A, pts[W], best_x, budget)
         iterations += its
         lower = max(lower, lb)
-        d = eval_norm(A.norm, pts - x)
+        d = _eval_family(A.norm.family, pts - x)
         if float(np.max(d)) < best_r:
             best_x, best_d, best_r = x, d, float(np.max(d))
         violators = np.setdiff1d(np.flatnonzero(d > f_w), W)
@@ -194,9 +194,8 @@ def chebyshev_center(
 def _assemble(A, center, gap_lb, iterations, flags=(), dists=None) -> CenterResult:
     """The result at ``center``; ``dists`` are its distances to the points,
     when the caller already has them."""
-    center = np.asarray(center, dtype=float)
     if dists is None:
-        dists = eval_norm(A.norm, A.points - center)
+        dists = _eval_family(A.norm.family, A.points - center)
     radius = float(np.max(dists))  # outer_radius(A, center), bit for bit
     return CenterResult(
         center=center,
@@ -248,7 +247,7 @@ def brute_force_center(
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, A.dim)
         rvals = np.full(len(grid), -np.inf)
         for a in A.points:
-            rvals = np.maximum(rvals, eval_norm(A.norm, grid - a))
+            rvals = np.maximum(rvals, _eval_family(A.norm.family, grid - a))
         evals += len(grid)
         spacing = (hi - lo) / (grid_per_axis - 1)
         k = int(np.argmin(rvals))
@@ -260,7 +259,7 @@ def brute_force_center(
         # (objective is 1-Lipschitz in the ambient norm), so the bounding box
         # of that sublevel set, padded by one cell, still contains it.  This
         # is robust to flat valleys, unlike refining around the argmin alone.
-        half_diag = float(eval_norm(A.norm, spacing / 2.0))
+        half_diag = float(_eval_family(A.norm.family, spacing / 2.0))
         keep = grid[rvals <= rvals[k] + half_diag + 1e-12]
         lo = np.maximum(keep.min(axis=0) - spacing, lo0)
         hi = np.minimum(keep.max(axis=0) + spacing, hi0)
@@ -270,7 +269,7 @@ def brute_force_center(
         flags = ("box_boundary",)
 
     result = _assemble(A, best_x, 0.0, evals, flags)
-    cell_diag = float(eval_norm(A.norm, spacing))
+    cell_diag = float(_eval_family(A.norm.family, spacing))
     return replace(result, gap=cell_diag)
 
 
@@ -290,14 +289,14 @@ def symmetric_line_minimize(A: PointSet, direction) -> tuple[float, float]:
     d = as_vector(direction, A.dim, "direction")
     if not np.any(d):
         raise ValueError("direction must be nonzero")
-    dn = float(eval_norm(A.norm, d))
-    reach = (2.0 * float(np.max(eval_norm(A.norm, A.points))) + 1.0) / dn
+    dn = float(_eval_family(A.norm.family, d))
+    reach = (2.0 * float(np.max(_eval_family(A.norm.family, A.points))) + 1.0) / dn
     lo, hi = -reach, reach
     while hi - lo > 1e-13 * reach:
         s = (lo + hi) / 2.0
         diffs = s * d - A.points
-        i = int(np.argmax(eval_norm(A.norm, diffs)))
-        slope = float(norm_subgradient(A.norm, diffs[i]) @ d)
+        i = int(np.argmax(_eval_family(A.norm.family, diffs)))
+        slope = float(_subgrad_family(A.norm.family, diffs[i]) @ d)
         if slope == 0.0:
             lo = hi = s
         elif slope > 0.0:
@@ -305,4 +304,4 @@ def symmetric_line_minimize(A: PointSet, direction) -> tuple[float, float]:
         else:
             lo = s
     s = (lo + hi) / 2.0
-    return s, float(np.max(eval_norm(A.norm, s * d - A.points)))
+    return s, float(np.max(_eval_family(A.norm.family, s * d - A.points)))

@@ -234,6 +234,13 @@ class TestExitCodes:
         assert "expected float" in err
         assert all(repr(key) in err for key in keys)
 
+    def test_farthest_viewpoint_of_wrong_length_names_viewpoint(self, capsys):
+        query = {"set": EUCLID_PAIR, "viewpoint": [0.0, 2.0, 1.0]}
+        code, out, err = run(capsys, "farthest", "--input", json.dumps(query))
+        assert code == 2
+        assert out == ""
+        assert "viewpoint must be a 1-axis array of dimension 2, got shape (3,)" in err
+
     def test_flat_dim_one_point_list_exit_two(self, capsys):
         flat = {"norm": {"dim": 1, "family": {"pnorm": 2}}, "points": [0.0, 1.0, 3.0]}
         code, out, err = run(capsys, "center", "--input", json.dumps(flat))
@@ -480,6 +487,20 @@ class TestStandardJson:
         assert out == ""
         assert repr(key) in err and "out of the finite float range" in err
 
+    # A count beyond the int64 range exits 2 and names its key, rather than
+    # reaching numpy, whose "Maximum allowed dimension exceeded" names none.
+    @pytest.mark.parametrize("count", [10**400, 2**63], ids=["1e400", "2^63"])
+    @pytest.mark.parametrize("command, payload, key", [
+        ("scan", {"norm": norm_to_dict(pnorm(2, 2)), "z_count": 1, "t_grid": [0.5]}, "samples"),
+        ("scan", {"norm": norm_to_dict(pnorm(2, 2)), "t_grid": [0.5], "samples": 400}, "z_count"),
+        ("cap-check", CAP_INPUT, "samples"),
+    ], ids=["scan samples", "scan z_count", "cap-check samples"])
+    def test_count_beyond_int64_range_exit_two(self, capsys, command, payload, key, count):
+        code, out, err = run(capsys, command, "--input", json.dumps({**payload, key: count}))
+        assert code == 2
+        assert out == ""
+        assert f"key {key!r}: expected int, got a number out of the int64 range" in err
+
 
 class TestModuleEntryPoint:
     """``python -m ccflab`` is ``cli.main`` in a process of its own."""
@@ -508,6 +529,9 @@ class TestModuleEntryPoint:
 # The spans perfbench/run.py reads in layer_metrics and OBSERVERS.  Its tracer
 # times each public function of a layer (the names in its __all__, and
 # cli.main), so a span whose function leaves __all__ silently reads zero.
+# The layers call the norm kernels, not eval_norm / norm_subgradient, so the
+# norms.* spans see only callers outside the package and read about 0 on
+# the scan and witness workloads.
 BENCHMARK_SPANS = (
     "norms.eval_norm", "norms.norm_subgradient", "sampling.rejection_sample_two_balls",
     "sets.outer_radius", "sets.farthest_set", "sets.diameter",
@@ -578,6 +602,15 @@ class TestReproduceCommand:
 
 
 class TestReproduceAll:
+    def test_help_describes_the_output_directory(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "all", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert ("--output OUTPUT directory for reports/, the scan CSVs and summary.md"
+                " (default: the summary to stdout)") in out
+        assert "output path" not in out
+
     def test_light_battery_and_seed_stability(self, tmp_path):
         kwargs = dict(scan_samples=2500, scan_z_count=6, scan_t_grid=(0.5, 0.8))
         reports0, scans0, summary0 = reproduce_all(seed=0, out_dir=tmp_path / "out0", **kwargs)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ccflab import PointSet, ccnf_scan, pnorm
-from ccflab.cli import CapInput  # also defines the other CLI input records
+from ccflab.cli import CapInput, ScanInput  # importing cli defines every CLI input record
 from ccflab.codec import Record, _schema, csv_text, write_text
 from ccflab.reproductions import Check
 from ccflab.sets import FarthestQuery
@@ -90,6 +90,21 @@ def test_array_entry_must_be_a_number(cls, obj, key):
 def test_number_beyond_float_range_names_its_key(cls, obj, key):
     with pytest.raises(ValueError, match=f"key {key!r}: expected float, got a number out of the finite float range"):
         cls.from_dict(obj)
+
+
+# An integer field takes the int64 range and nothing beyond it, so a count
+# too large for numpy is rejected under its key.
+@pytest.mark.parametrize("key, value", [
+    ("samples", 10**400), ("samples", 2**63), ("z_count", 10**400), ("z_count", 2**63), ("z_count", -(2**63) - 1),
+], ids=["samples 1e400", "samples 2^63", "z_count 1e400", "z_count 2^63", "z_count -2^63-1"])
+def test_integer_beyond_int64_range_names_its_key(key, value):
+    with pytest.raises(ValueError, match=f"ScanInput key {key!r}: expected int, got a number out of the int64 range"):
+        ScanInput.from_dict({"norm": L2, key: value})
+
+
+def test_integer_field_takes_the_int64_range():
+    scan = ScanInput.from_dict({"norm": L2, "samples": 2**63 - 1, "z_count": -(2**63)})
+    assert (scan.samples, scan.z_count) == (2**63 - 1, -(2**63))
 
 
 def test_array_takes_integers():

@@ -290,6 +290,12 @@ class TestSymmetricLineMinimize:
         A = PointSet(pnorm(2, 2), [[0.0, 1.0]])
         assert symmetric_line_minimize(A, [1.0, 0.0]) == (0.0, 1.0)
 
+    def test_zero_subgradient_at_a_point_of_the_set(self):
+        # At s = 0 the farthest difference is the zero vector; its subgradient
+        # is 0 (no division by a zero scale), so the slope is 0 and s = 0 stands.
+        A = PointSet(pnorm(2, 3), [[0.0, 0.0], [0.0, 0.0]])
+        assert symmetric_line_minimize(A, [1.0, 0.0]) == (0.0, 0.0)
+
     def test_sp_grid_closed_form(self):
         # the p grid of `reproduce sp-grid`
         for p in np.exp(np.linspace(np.log(1.1), np.log(10.0), 13)):
