@@ -9,12 +9,7 @@ Also runs the truncated sequence-space benchmark, whose set is nearly
 centerable with the origin as center.
 """
 
-from ccflab import (
-    embed_lp3,
-    example_c0_truncated,
-    summary_markdown,
-    weighted_pnorm,
-)
+from ccflab import embed_lp3, example_c0_truncated, weighted_pnorm
 
 norm = weighted_pnorm(3.0, (2.0, 0.5, 1.0, 3.0))
 report = embed_lp3(norm, atoms=(0, 1, 2), test_vectors=1000, seed=0)
@@ -26,6 +21,3 @@ trunc = example_c0_truncated(N=10)
 print("\ntruncated sequence-space benchmark (N=10):")
 for check in trunc.checks:
     print(f"  [{'ok' if check.passed else 'FAIL'}] {check.description}")
-
-print()
-print(summary_markdown([report, trunc]))

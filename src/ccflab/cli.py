@@ -12,7 +12,8 @@ Exit codes separate mathematical verdicts from operational errors:
   check failed)
 * 2: input error (malformed or non-standard JSON; a missing key, a value
   of the wrong type or a count below its minimum, which the error names;
-  unknown norm family, bad arguments)
+  unknown norm family, bad arguments; a reproduction parameter or a result
+  that leaves the float range, before anything is written)
 * 3: solver indeterminate (non-convergence)
 
 Outputs are deterministic for a fixed seed and are written atomically
@@ -63,8 +64,6 @@ from .reproductions import (
     example_c0_truncated,
     example_finite_dim,
     sp_grid_check,
-    summary_markdown,
-    write_reports,
 )
 from .sets import DEFAULT_ACHIEVER_TOL, PointSet, farthest_set
 from .solver import SolverOptions, chebyshev_center
@@ -182,22 +181,18 @@ def _cmd_cap_check(args) -> int:
 
 
 def reproduce_all(
-    seed: int = 0,
-    out_dir: str | Path | None = None,
-    scan_samples: int = 20000,
-    scan_z_count: int = 12,
-    scan_t_grid=None,
-    opts: SolverOptions | None = None,
+    seed: int = 0, out_dir: str | Path | None = None, opts: SolverOptions | None = None
 ) -> tuple[list[ExampleReport], dict[str, ScanResult], str]:
     """Run the full reproduction battery and the three reference scans.
 
-    Returns (reports, scans, markdown table); ``scans`` maps the labels l2,
-    l3 and l1, in that order, to their ``ScanResult``.  When ``out_dir`` is
-    given, JSON reports, scan CSVs, and the summary table are written there.
-    Pass/fail outcomes are stable across seeds; only sampling coordinates
-    move.  ``opts`` is passed to every solve.
+    Each scan takes 12 unit directions, the t-grid ``ScanInput.t_grid`` and
+    20 000 proposals per cell.  Returns (reports, scans, summary): ``scans``
+    maps the labels l2, l3 and l1, in that order, to their ``ScanResult``,
+    and the summary is a markdown table of both.  When ``out_dir`` is given,
+    it receives ``reports/NN_name.json``, ``scan_<label>.csv`` and
+    ``summary.md``.  Pass/fail outcomes are stable across seeds; only
+    sampling coordinates move.  ``opts`` is passed to every solve.
     """
-    t_grid = tuple(ScanInput.t_grid if scan_t_grid is None else scan_t_grid)
     reports = [example_finite_dim(n, opts) for n in (3, 4, 5)]
     reports.append(example_c0_truncated(10, opts))
     reports.append(sp_grid_check())
@@ -206,14 +201,17 @@ def reproduce_all(
     reports.append(embed_lp3(EMBEDDING_NORM, (0, 1, 2), seed=seed, opts=opts))
 
     scans = {
-        label: ccnf_scan(pnorm(2, p), scan_z_count, t_grid, scan_samples, seed=seed, opts=opts)
+        label: ccnf_scan(pnorm(2, p), 12, ScanInput.t_grid, 20000, seed=seed, opts=opts)
         for label, p in (("l2", 2.0), ("l3", 3.0), ("l1", 1.0))
     }
 
-    lines = [summary_markdown(reports)]
-    lines.append("\n| scan | max r_hat/t | verdict |\n| --- | --- | --- |")
-    for label, scan in scans.items():
-        lines.append(f"| {label} | {scan.max_ratio:.6f} | {scan.verdict} |")
+    lines = ["| report | parameters | checks passed | overall |", "| --- | --- | --- | --- |"]
+    for rep in reports:
+        params = ", ".join(f"{k}={v}" for k, v in rep.parameters.items())
+        passed = sum(c.passed for c in rep.checks)
+        lines.append(f"| {rep.name} | {params} | {passed}/{len(rep.checks)} | {'pass' if rep.overall else 'FAIL'} |")
+    lines += ["", "", "| scan | max r_hat/t | verdict |", "| --- | --- | --- |"]  # two blank lines: summary.md's bytes
+    lines += [f"| {label} | {scan.max_ratio:.6f} | {scan.verdict} |" for label, scan in scans.items()]
     lines.append(
         "\nScan verdicts are sampled evidence, not certificates: cells with"
         " r_hat/t near 1 indicate flat-face (CCF) behavior, clear separation"
@@ -223,11 +221,11 @@ def reproduce_all(
     summary = "\n".join(lines) + "\n"
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_reports(reports, out_dir / "reports")
-        for label, scan in scans.items():
-            write_text(out_dir / f"scan_{label}.csv", scan.to_csv())
-        write_text(out_dir / "summary.md", summary)
+        artifacts = {f"reports/{i:02d}_{rep.name}.json": json_text(rep.to_dict()) for i, rep in enumerate(reports)}
+        artifacts.update({f"scan_{label}.csv": scan.to_csv() for label, scan in scans.items()})
+        artifacts["summary.md"] = summary
+        for name, text in artifacts.items():
+            write_text(Path(out_dir) / name, text)
 
     return reports, scans, summary
 

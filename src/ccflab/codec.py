@@ -15,7 +15,8 @@ names a missing required key, and the key of a value that does not decode,
 and ignores unknown keys, so payloads that carry retired keys still load.
 
 :func:`json_text` and :func:`csv_text` give the text of every JSON and CSV
-artifact, and :func:`write_text` writes it.
+artifact, and :func:`write_text` writes it.  JSON text is standard JSON: a
+NaN or infinite number raises ValueError instead.
 """
 
 from __future__ import annotations
@@ -121,8 +122,12 @@ def _encode(value):
 
 
 def json_text(payload) -> str:
-    """The text of every JSON artifact: two-space indent, trailing newline."""
-    return json.dumps(payload, indent=2) + "\n"
+    """The text of every JSON artifact: two-space indent, trailing newline.
+    Standard JSON only: a NaN or infinite number raises ValueError."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("a result left the float range (NaN or infinity), so it has no JSON text") from None
 
 
 def csv_text(rows) -> str:

@@ -26,12 +26,11 @@ The benchmark families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .ccf import CcfWitness, verify_ccf_witness
-from .codec import Record, json_text, write_text
+from .codec import Record
 from .norms import NormSpec, WeightedPNorm, _eval_family, pnorm, sum_composite, sup_plus_weighted_l2
 from .sampling import rng_stream
 from .sets import PointSet, diameter, farthest_set, outer_radius
@@ -46,8 +45,6 @@ __all__ = [
     "sp_grid_check",
     "ap_ccf_check",
     "embed_lp3",
-    "summary_markdown",
-    "write_reports",
 ]
 
 
@@ -76,6 +73,10 @@ class ExampleReport(Record):
     @property
     def overall(self) -> bool:
         return all(c.passed for c in self.checks)
+
+
+# log(float max / 4): the bound on log((t + 1)^p) of the lp^3 witness.
+_LOG_MAX_POWER = float(np.log(np.finfo(float).max / 4.0))
 
 
 def _check(desc: str, expected, observed, passed: bool) -> Check:
@@ -258,10 +259,13 @@ def sp_closed_form(p: float) -> float:
     """The symmetric-center coordinate s_p = 1/(1 + 2^(1/(p-1))) for lp^3.
 
     This is the unique minimizer of f(s) = |1-s|^p + 2|s|^p; the solver
-    cross-check lives in symmetric_line_minimize.
+    cross-check lives in symmetric_line_minimize.  For p <= 1 + 2^-10 the
+    power 2^(1/(p-1)) leaves the float range, and p is rejected.
     """
     if not (p > 1.0):
         raise ValueError(f"requires p > 1, got {p}")
+    if p - 1.0 <= 2.0**-10:
+        raise ValueError(f"2^(1/(p-1)) leaves the float range: requires p > 1 + 2^-10, got p = {p}")
     return 1.0 / (1.0 + 2.0 ** (1.0 / (p - 1.0)))
 
 
@@ -284,7 +288,13 @@ def sp_grid_check() -> ExampleReport:
 def _lp3_witness(p: float, t: float):
     """The lp^3 CCF witness: s_p, the side sign (+1 for p < 2, -1 above),
     the points e_1, e_2, e_3, x_p = (s_p, s_p, s_p), and the viewpoint
-    sign * (t, t, t)."""
+    sign * (t, t, t).
+
+    Its distances to the viewpoint reach 3 (t + 1)^p in the p-th power, so
+    (t + 1)^p must stay below a quarter of the largest float.
+    """
+    if p * np.log1p(t) >= _LOG_MAX_POWER:
+        raise ValueError(f"(t + 1)^p leaves the float range: lower p or t, got p = {p}, t = {t}")
     sp = sp_closed_form(p)
     sign = 1.0 if p < 2.0 else -1.0
     return sp, sign, np.vstack([np.eye(3), np.full(3, sp)]), sign * np.full(3, t)
@@ -441,31 +451,3 @@ def embed_lp3(
         },
         tuple(checks),
     )
-
-
-def summary_markdown(reports) -> str:
-    """A one-row-per-report markdown table."""
-    lines = [
-        "| report | parameters | checks passed | overall |",
-        "| --- | --- | --- | --- |",
-    ]
-    for rep in reports:
-        npass = sum(1 for c in rep.checks if c.passed)
-        params = ", ".join(f"{k}={v}" for k, v in rep.parameters.items())
-        lines.append(
-            f"| {rep.name} | {params} | {npass}/{len(rep.checks)} | "
-            f"{'pass' if rep.overall else 'FAIL'} |"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_reports(reports, directory) -> list[Path]:
-    """Write each report as JSON under ``directory`` (created if missing)."""
-    out_dir = Path(directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i, rep in enumerate(reports):
-        path = out_dir / f"{i:02d}_{rep.name}.json"
-        write_text(path, json_text(rep.to_dict()))
-        paths.append(path)
-    return paths

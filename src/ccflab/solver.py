@@ -150,23 +150,31 @@ def chebyshev_center(
     deterministic for a given input.
 
     Non-convergence within the iteration budget is reported via the
-    ``not_converged`` flag on the result, never by raising.
+    ``not_converged`` flag on the result, never by raising.  A start radius
+    beyond the float range (not finite, or 0 between distinct points) raises
+    ValueError, and a round whose lower bound overflowed certifies nothing.
     """
     opts = opts or SolverOptions()
     if A.dim > _DIM_CAP:
         raise ValueError(f"dimension {A.dim} exceeds solver cap {_DIM_CAP}")
     pts = A.points
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    if A.dim == 1 or np.array_equal(lo, hi):
-        # r(A) >= diam(A)/2, which the midpoint attains in one dimension.
-        lower = float(_eval_family(A.norm.family, hi - lo)) / 2.0
-        return _assemble(A, (lo + hi) / 2.0, lower, iterations=0)
-
-    starts = [pts.mean(axis=0)] + [as_vector(s, A.dim, "start") for s in extra_starts or ()]
+    distinct = not np.array_equal(lo, hi)
+    exact = A.dim == 1 or not distinct  # the midpoint of the extreme points is a center
+    if exact:
+        starts = [(lo + hi) / 2.0]
+    else:
+        starts = [pts.mean(axis=0)] + [as_vector(s, A.dim, "start") for s in extra_starts or ()]
     dists = [_eval_family(A.norm.family, pts - s) for s in starts]
     k = int(np.argmin([np.max(d) for d in dists]))
     best_x, best_d = starts[k], dists[k]
     best_r = float(np.max(best_d))
+    if not np.isfinite(best_r) or (distinct and best_r == 0.0):
+        raise ValueError(f"the outer radius at the start is {best_r}: distances left the float range")
+    if exact:
+        # r(A) >= diam(A)/2, which the midpoint attains in one dimension.
+        lower = float(_eval_family(A.norm.family, hi - lo)) / 2.0
+        return _assemble(A, best_x, lower, iterations=0, dists=best_d)
 
     budget = 1000 + 50 * A.dim**2 if opts.max_iters is None else opts.max_iters
     core = _CORE_PER_DIM * (A.dim + 1)
@@ -176,7 +184,8 @@ def chebyshev_center(
     while True:
         x, f_w, lb, its = _ellipsoid_round(A, pts[W], best_x, budget)
         iterations += its
-        lower = max(lower, lb)
+        if np.isfinite(lb):  # a distance that overflowed to inf bounds nothing
+            lower = max(lower, lb)
         d = _eval_family(A.norm.family, pts - x)
         if float(np.max(d)) < best_r:
             best_x, best_d, best_r = x, d, float(np.max(d))

@@ -6,6 +6,10 @@ kernels ``norms._eval_family`` / ``norms._subgrad_family`` on arrays that
 ``PointSet``, ``TwoBallSet``, ``CcfWitness``, the codec or a public
 function's ``as_vector`` already checked, so the array rule (``_as_batch``)
 runs a fixed number of times per call, whatever the iteration count.
+
+Files are read and written at one boundary too: only ``codec`` (the one
+writer) and ``cli`` (which reads ``--input`` and writes every artifact) do
+file I/O.
 """
 
 import ast
@@ -20,16 +24,21 @@ from ccflab import PointSet, SolverOptions, chebyshev_center, estimate_r_tz, pno
 PACKAGE = Path(ccflab.__file__).parent
 LAYER_FILES = sorted(p for p in PACKAGE.glob("*.py") if p.name not in ("norms.py", "__init__.py"))
 CHECKED_EVALUATORS = {"eval_norm", "norm_subgradient"}
+IO_FREE_FILES = sorted(p for p in PACKAGE.glob("*.py") if p.name not in ("codec.py", "cli.py"))
+FILE_IO_NAMES = {"open", "Path", "write_text", "mkdir", "os", "tempfile"}
 
 
 def test_every_layer_file_is_collected():
     assert {"sets.py", "solver.py", "sampling.py", "ccf.py", "reproductions.py", "cli.py"} <= {
         p.name for p in LAYER_FILES
     }
+    assert {"norms.py", "sets.py", "solver.py", "sampling.py", "ccf.py", "reproductions.py"} <= {
+        p.name for p in IO_FREE_FILES
+    }
 
 
-@pytest.mark.parametrize("path", LAYER_FILES, ids=lambda p: p.name)
-def test_layers_name_no_checked_evaluator(path):
+def _names(path: Path) -> set[str]:
+    """Every name, attribute and imported name in a module."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
@@ -38,7 +47,17 @@ def test_layers_name_no_checked_evaluator(path):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-    assert not names & CHECKED_EVALUATORS
+    return names
+
+
+@pytest.mark.parametrize("path", LAYER_FILES, ids=lambda p: p.name)
+def test_layers_name_no_checked_evaluator(path):
+    assert not _names(path) & CHECKED_EVALUATORS
+
+
+@pytest.mark.parametrize("path", IO_FREE_FILES, ids=lambda p: p.name)
+def test_only_codec_and_cli_do_file_io(path):
+    assert not _names(path) & FILE_IO_NAMES
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,10 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ccflab
-from ccflab import CenterResult, FarthestQuery, WitnessVerdict, norm_to_dict, pnorm
+from ccflab import CenterResult, ExampleReport, FarthestQuery, WitnessVerdict, norm_to_dict, pnorm
 from ccflab import cli
 from ccflab.ccf import ccnf_scan
 from ccflab.cli import main, reproduce_all
@@ -281,6 +284,28 @@ class TestExitCodes:
         assert code == 2
         assert repr(missing) in err
 
+    # Parameters whose powers leave the float range exit 2 and name the flag,
+    # rather than raising OverflowError (exit 1, the code of a negative verdict).
+    @pytest.mark.parametrize("argv, names", [
+        (["ap-witness", "--p", "155"], ("p = 155.0", "t = 100.0")),
+        (["ap-witness", "--p", "1.0001"], ("p = 1.0001",)),
+        (["ap-witness", "--p", "1.5", "--t", "1e250"], ("p = 1.5", "t = 1e+250")),
+        (["embedding", "--p", "1.0001"], ("p = 1.0001",)),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_reproduction_parameter_beyond_float_range_exit_two(self, capsys, argv, names):
+        code, out, err = run(capsys, "reproduce", *argv)
+        assert code == 2
+        assert out == ""
+        assert "leaves the float range" in err
+        assert all(name in err for name in names)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(p=st.floats(1.0001, 400.0), t=st.floats(1.5, 1e300))
+    def test_ap_witness_parameters_end_in_an_exit_code(self, p, t):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["reproduce", "ap-witness", "--p", repr(p), "--t", repr(t)])
+        assert code in (0, 1, 2, 3)
+
 
 class TestArtifacts:
     def test_output_dir_created_and_atomic(self, tmp_path, capsys):
@@ -501,6 +526,30 @@ class TestStandardJson:
         assert out == ""
         assert f"key {key!r}: expected int, got a number out of the int64 range" in err
 
+    # Distances beyond the float range exit 2 before anything is written,
+    # rather than printing Infinity, NaN or a radius that underflowed to 0.
+    # numpy warns where a distance overflows; pytest would raise the warning.
+    @pytest.mark.parametrize("command, payload, overflows", [
+        ("center", {"norm": {"dim": 2, "family": {"pnorm": 100}},
+                    "points": [[2000.0, 0.0], [-2000.0, 0.0], [0.0, 2000.0]]}, True),
+        ("center", {"norm": {"dim": 2, "family": {"pnorm": 100}},
+                    "points": [[2e-5, 0.0], [-2e-5, 0.0], [0.0, 2e-5]]}, False),
+        ("farthest", {"set": {"norm": {"dim": 2, "family": {"pnorm": 2}}, "points": [[1e200, 0.0], [0.0, 0.0]]},
+                      "viewpoint": [-1e200, 0.0]}, True),
+        ("ccf-verify", {"set": {"norm": {"dim": 2, "family": {"pnorm": 1}},
+                                "points": [[1e308, 0.0], [0.0, 1e308], [5e307, 5e307]]},
+                        "center_index": 2, "viewpoint": [-1e308, -1e308]}, True),
+    ], ids=["center overflow", "center underflow", "farthest overflow", "ccf-verify overflow"])
+    def test_result_beyond_float_range_exit_two(self, tmp_path, capsys, command, payload, overflows):
+        out_file = tmp_path / "out.json"
+        with pytest.warns(RuntimeWarning) if overflows else contextlib.nullcontext():
+            code, out, err = run(capsys, command, "--input", json.dumps(payload))
+            assert run(capsys, command, "--input", json.dumps(payload), "--output", str(out_file))[0] == 2
+        assert code == 2
+        assert out == ""
+        assert "left the float range" in err
+        assert not out_file.exists()
+
 
 class TestModuleEntryPoint:
     """``python -m ccflab`` is ``cli.main`` in a process of its own."""
@@ -601,6 +650,12 @@ class TestReproduceCommand:
         assert message in err
 
 
+def light_scan(norm, z_count, t_grid, samples, *, seed, opts):
+    """``ccnf_scan`` below the reference density of ``reproduce all``: 6
+    directions, t in (0.5, 0.8) and 2500 proposals per cell."""
+    return ccnf_scan(norm, 6, (0.5, 0.8), 2500, seed=seed, opts=opts)
+
+
 class TestReproduceAll:
     def test_help_describes_the_output_directory(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -611,10 +666,11 @@ class TestReproduceAll:
                 " (default: the summary to stdout)") in out
         assert "output path" not in out
 
-    def test_light_battery_and_seed_stability(self, tmp_path):
-        kwargs = dict(scan_samples=2500, scan_z_count=6, scan_t_grid=(0.5, 0.8))
-        reports0, scans0, summary0 = reproduce_all(seed=0, out_dir=tmp_path / "out0", **kwargs)
-        reports1, scans1, _ = reproduce_all(seed=1, **kwargs)
+    def test_light_battery_and_seed_stability(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "ccnf_scan", light_scan)
+        out_dir = tmp_path / "nested" / "out0"
+        reports0, scans0, summary0 = reproduce_all(seed=0, out_dir=out_dir)
+        reports1, scans1, _ = reproduce_all(seed=1)
 
         # all benchmark reports pass, and the pass/fail pattern is seed-stable
         assert all(r.overall for r in reports0)
@@ -626,28 +682,37 @@ class TestReproduceAll:
             assert scans["l2"].verdict == "ccnf-evidence"
             assert scans["l1"].max_ratio >= 0.99
             assert scans["l3"].max_ratio < 1.0
-        assert (tmp_path / "out0" / "scan_l3.csv").read_text() == scans0["l3"].to_csv()
 
-        # artifacts written
-        out_dir = tmp_path / "out0"
-        assert (out_dir / "summary.md").exists()
-        assert (out_dir / "scan_l1.csv").exists()
-        assert sorted(p.name for p in (out_dir / "reports").glob("*.json"))
-        assert "finite-dim" in summary0
+        # the summary tables every report, none failing
+        assert summary0.startswith("| report | parameters | checks passed | overall |\n")
+        assert all(f"| {r.name} |" in summary0 for r in reports0)
+        assert "FAIL" not in summary0
 
+        # artifacts written, out_dir created two levels down
+        assert (out_dir / "summary.md").read_text() == summary0
+        for label, scan in scans0.items():
+            assert (out_dir / f"scan_{label}.csv").read_text() == scan.to_csv()
+        names = ["finite-dim"] * 3 + ["c0-truncated", "sp-grid"] + ["ap-witness"] * 3 + ["embedding"]
+        paths = sorted((out_dir / "reports").iterdir())
+        assert [p.name for p in paths] == [f"{i:02d}_{name}.json" for i, name in enumerate(names)]
+        for path, report in zip(paths, reports0):
+            data = json.loads(path.read_text())
+            assert data["overall"] is True
+            assert ExampleReport.from_dict(data) == report
 
     def test_solver_options_reach_every_solve(self, monkeypatch):
-        scans = []
+        scans, densities = [], []
 
         def recording_scan(*args, **kwargs):
-            scans.append(ccnf_scan(*args, **kwargs))
+            densities.append(args[1:])
+            scans.append(light_scan(*args, **kwargs))
             return scans[-1]
 
         monkeypatch.setattr(cli, "ccnf_scan", recording_scan)
-        kwargs = dict(scan_samples=2500, scan_z_count=6, scan_t_grid=(0.5, 0.8))
-        reports, _, _ = reproduce_all(opts=SolverOptions(max_iters=1), **kwargs)
+        reports, _, _ = reproduce_all(opts=SolverOptions(max_iters=1))
         assert not all(r.overall for r in reports)
-        assert len(scans) == 3
+        # the reference scans, which light_scan thins out
+        assert densities == [(12, (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0), 20000)] * 3
         for scan in scans:
             assert all("solver_not_converged" in row.flags for row in scan.rows)
 

@@ -12,11 +12,9 @@ from ccflab import (
     example_finite_dim,
     pnorm,
     sp_closed_form,
-    summary_markdown,
     sup_plus_weighted_l2,
     symmetric_line_minimize,
     weighted_pnorm,
-    write_reports,
 )
 
 
@@ -65,6 +63,13 @@ class TestSpClosedForm:
         with pytest.raises(ValueError):
             sp_closed_form(1.0)
 
+    def test_p_whose_power_leaves_the_float_range_rejected(self):
+        # 2^(1/(p-1)) overflows for p <= 1 + 2^-10; just above, s_p is tiny but positive.
+        for p in (1.0001, 1.0 + 2.0**-10):
+            with pytest.raises(ValueError, match=f"leaves the float range: requires p > 1 \\+ 2\\^-10, got p = {p}"):
+                sp_closed_form(p)
+        assert 0.0 < sp_closed_form(1.0 + 2.0**-9) < 1e-150
+
     def test_agrees_with_line_minimizer_on_log_grid(self):
         for p in np.exp(np.linspace(np.log(1.1), np.log(10.0), 13)):
             A0 = PointSet(pnorm(3, float(p)), np.eye(3))
@@ -84,6 +89,16 @@ class TestApWitness:
     def test_p2_rejected(self):
         with pytest.raises(ValueError):
             ap_ccf_check(2.0, 100.0)
+
+    @pytest.mark.parametrize("p, t", [(155.0, 100.0), (1.5, 1e250), (1.0001, 100.0)])
+    def test_parameters_whose_powers_leave_the_float_range_rejected(self, p, t):
+        with pytest.raises(ValueError, match=f"leaves the float range.* p = {p}"):
+            ap_ccf_check(p, t)
+
+    def test_p_in_the_float_range_reports_its_margin(self):
+        # (t + 1)^p at p = 150, t = 100 is about 1e300: in range, but t is too small.
+        report = ap_ccf_check(150.0, 100.0)
+        assert [c.passed for c in report.checks] == [True, True, False, False]
 
     def test_t_too_small_reports_not_raises(self):
         # inequality margin goes negative for t barely above 1; report says so
@@ -135,6 +150,10 @@ class TestEmbedding:
         with pytest.raises(ValueError, match="positive"):
             weighted_pnorm(3.0, (1.0, -2.0, 1.0))
 
+    def test_p_whose_power_leaves_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="leaves the float range.* p = 1.0001"):
+            embed_lp3(weighted_pnorm(1.0001, (2.0, 0.5, 1.0, 3.0)), (0, 1, 2))
+
     @pytest.mark.parametrize("norm", [pnorm(3, 3.0), sup_plus_weighted_l2((1.0, 1.0, 1.0))], ids=["pnorm", "sup"])
     def test_other_norm_families_rejected(self, norm):
         with pytest.raises(ValueError, match="weighted p-norm"):
@@ -159,16 +178,3 @@ class TestReportPlumbing:
         report = ap_ccf_check(1.5, 100.0)
         assert ExampleReport.from_dict(report.to_dict()) == report
 
-    def test_summary_markdown_table(self):
-        reports = [example_finite_dim(3), ap_ccf_check(4.0, 100.0)]
-        table = summary_markdown(reports)
-        assert table.startswith("| report |")
-        assert "finite-dim" in table and "ap-witness" in table
-        assert "FAIL" not in table
-
-    def test_write_reports_creates_dir(self, tmp_path):
-        target = tmp_path / "nested" / "reports"
-        paths = write_reports([example_finite_dim(3)], target)
-        assert len(paths) == 1
-        data = json.loads(paths[0].read_text())
-        assert data["overall"] is True

@@ -169,6 +169,28 @@ class TestCertificate:
             assert lower <= exact + 1e-12 * max(1.0, exact)
 
 
+class TestFloatRange:
+    """Distances beyond the float range raise or certify nothing; they never
+    give a converged result."""
+
+    @pytest.mark.parametrize("scale, dim", [(2000.0, 2), (2e-5, 2), (1e200, 1)], ids=["overflow", "underflow", "1d"])
+    def test_start_radius_beyond_float_range_raises(self, scale, dim):
+        points = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])[:, :dim] * scale
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="left the float range"):
+            chebyshev_center(PointSet(pnorm(dim, 100), points))
+
+    def test_overflowing_iterate_certifies_nothing(self):
+        # The start radius, 766.67, is finite, but the first ellipsoid iterate's
+        # distances overflow.  The radius is 650, ten times that of the set
+        # scaled by 1/10, which solves in range.
+        points = np.array([[1000.0, 0.0], [0.0, 1000.0], [-300.0, -200.0]])
+        assert chebyshev_center(PointSet(pnorm(2, 100), points / 10.0)).radius == pytest.approx(65.0, rel=1e-8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = chebyshev_center(PointSet(pnorm(2, 100), points))
+        assert not res.converged
+        assert res.radius - res.gap <= 650.0
+
+
 class TestPythagoreanRadiusBound:
     # Hilbert-space strengthening of the radius lower bound:
     # r(x, A)^2 >= r(A)^2 + ||x - c||^2 for the (unique) center c.
