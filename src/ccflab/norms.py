@@ -7,14 +7,16 @@ spaces).  Because the enumeration is closed and fully declarative, every
 downstream computation can be serialized, replayed and tested bit-identically;
 no user-supplied callbacks are accepted.
 
-The public evaluators check their arguments, for callers outside ccflab; its
-other modules call the unchecked kernels ``_eval_family`` / ``_subgrad_family``
-on arrays checked where they entered.  All evaluators are pure functions of
-immutable values and are safe to call concurrently.
+Each family carries two unchecked kernels, chosen once when it is built:
+``dist(x)``, the norm of every row of x, and ``subgrad(v)``, a subgradient at
+v.  The public evaluators check their arguments, for callers outside ccflab;
+its other modules call the kernels on arrays checked where they entered.  All
+evaluators are pure functions of immutable values and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -87,9 +89,49 @@ def _positive_weights(weights, what: str) -> tuple[float, ...]:
     return w
 
 
+def _zero_at_origin(kernel):
+    """``kernel`` (of v, or of self and v) with 0 at v = 0, a subgradient of any norm there."""
+
+    def subgrad(*args):
+        return kernel(*args) if np.count_nonzero(args[-1]) else np.zeros_like(args[-1])
+
+    return subgrad
+
+
+# The norm kernels do numpy's float operations for np.linalg.norm, in the
+# same order, so every result stays the same to the last bit.
+def _l1_norm(x: np.ndarray):
+    return np.add.reduce(np.abs(x), axis=-1)
+
+
+def _l2_norm(x: np.ndarray):
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def _sup_norm(x: np.ndarray):
+    return np.abs(x).max(axis=-1)
+
+
+def _sgn_vertex(v: np.ndarray) -> np.ndarray:
+    # Extreme vertex of the sign box: zeros resolve deterministically to +1.
+    return np.where(v >= 0.0, 1.0, -1.0)
+
+
+def _l2_gradient(v: np.ndarray) -> np.ndarray:
+    return v / math.sqrt(v.dot(v))
+
+
+def _sup_subgradient(v: np.ndarray) -> np.ndarray:
+    # The signed lowest argmax coordinate (+1 at zero).
+    i = np.abs(v).argmax()
+    g = np.zeros_like(v)
+    g[i] = 1.0 if v[i] >= 0.0 else -1.0
+    return g
+
+
 @dataclass(frozen=True)
 class PNorm:
-    """The lp norm; ``p`` may be any real >= 1 or infinity."""
+    """The lp norm, for any real p >= 1 or infinity; p = 1, 2 and inf have kernels of their own."""
 
     p: float
 
@@ -98,6 +140,24 @@ class PNorm:
         if np.isnan(p) or p < 1.0:
             raise ValueError(f"p-norm requires p >= 1 or p = inf, got {self.p}")
         object.__setattr__(self, "p", p)
+        dist, subgrad = {
+            1.0: (_l1_norm, _sgn_vertex),
+            2.0: (_l2_norm, _l2_gradient),
+            INF: (_sup_norm, _sup_subgradient),
+        }.get(p, (self._lp_norm, self._lp_subgradient))
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "subgrad", _zero_at_origin(subgrad))
+
+    def __reduce__(self):  # the kernels are rebuilt from p
+        return PNorm, (self.p,)
+
+    def _lp_norm(self, x: np.ndarray):
+        return np.add.reduce(np.abs(x) ** self.p, axis=-1) ** (1.0 / self.p)
+
+    def _lp_subgradient(self, v: np.ndarray) -> np.ndarray:
+        # Normalize first so |v|^(p-1) cannot overflow for large p.
+        u = v / np.abs(v).max()
+        return np.sign(u) * np.abs(u) ** (self.p - 1.0) / self._lp_norm(u) ** (self.p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -115,6 +175,13 @@ class SumComposite:
             raise TypeError("composite children must be NormSpec instances")
         object.__setattr__(self, "terms", tuple(zip(weights, children)))
 
+    def dist(self, x: np.ndarray):
+        return sum(w * child.family.dist(x) for w, child in self.terms)
+
+    @_zero_at_origin
+    def subgrad(self, v: np.ndarray) -> np.ndarray:
+        return sum(w * child.family.subgrad(v) for w, child in self.terms)
+
 
 @dataclass(frozen=True)
 class SupPlusWeightedL2:
@@ -124,6 +191,18 @@ class SupPlusWeightedL2:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _positive_weights(self.weights, "sup-plus-weighted-l2"))
+        object.__setattr__(self, "_w", np.array(self.weights))
+
+    def dist(self, x: np.ndarray):
+        return _sup_norm(x) + np.sqrt(np.sum(self._w * x * x, axis=-1))
+
+    @_zero_at_origin
+    def subgrad(self, v: np.ndarray) -> np.ndarray:
+        g = _sup_subgradient(v)
+        l2 = np.sqrt(np.sum(self._w * v * v))
+        if l2 > 0.0:
+            g = g + self._w * v / l2
+        return g
 
 
 @dataclass(frozen=True)
@@ -139,6 +218,19 @@ class WeightedPNorm:
             raise ValueError(f"weighted p-norm requires 1 < p < inf, got {self.p}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "weights", _positive_weights(self.weights, "weighted p-norm"))
+        object.__setattr__(self, "_w", np.array(self.weights))
+        object.__setattr__(self, "_scale", self._w ** (1.0 / p))  # ||x|| = ||x * w^(1/p)||_p
+        object.__setattr__(self, "_lp", PNorm(p).dist)
+
+    def dist(self, x: np.ndarray):
+        return self._lp(x * self._scale)
+
+    @_zero_at_origin
+    def subgrad(self, v: np.ndarray) -> np.ndarray:
+        p, w = self.p, self._w
+        u = v / np.abs(v).max()
+        total = np.sum(w * np.abs(u) ** p) ** (1.0 / p)
+        return w * np.sign(u) * np.abs(u) ** (p - 1.0) / total ** (p - 1.0)
 
 
 Family = Union[PNorm, SumComposite, SupPlusWeightedL2, WeightedPNorm]
@@ -195,22 +287,6 @@ def weighted_pnorm(p: float, weights) -> NormSpec:
     return NormSpec(len(w), WeightedPNorm(p, w))
 
 
-def _eval_family(fam: Family, x: np.ndarray) -> np.ndarray:
-    if isinstance(fam, PNorm):
-        return np.linalg.norm(x, ord=fam.p, axis=-1)
-    if isinstance(fam, SumComposite):
-        total = np.zeros(x.shape[:-1])
-        for w, child in fam.terms:
-            total = total + w * _eval_family(child.family, x)
-        return total
-    if isinstance(fam, SupPlusWeightedL2):
-        w = np.asarray(fam.weights)
-        sup = np.max(np.abs(x), axis=-1)
-        return sup + np.sqrt(np.sum(w * x * x, axis=-1))
-    scale = np.asarray(fam.weights) ** (1.0 / fam.p)  # WeightedPNorm
-    return np.linalg.norm(x * scale, ord=fam.p, axis=-1)
-
-
 def eval_norm(norm: NormSpec, x):
     """Evaluate ``norm`` at ``x``.
 
@@ -218,7 +294,7 @@ def eval_norm(norm: NormSpec, x):
     shape (..., dim); the result is a float or an array of shape (...).
     """
     arr = _as_batch(x, norm.dim)
-    out = _eval_family(norm.family, arr)
+    out = norm.family.dist(arr)
     return float(out) if arr.ndim == 1 else out
 
 
@@ -226,7 +302,7 @@ def distance(norm: NormSpec, x, y):
     """The metric induced by ``norm``: eval_norm(norm, x - y)."""
     ax = _as_batch(x, norm.dim, "x")
     ay = _as_batch(y, norm.dim, "y")
-    out = _eval_family(norm.family, ax - ay)
+    out = norm.family.dist(ax - ay)
     return float(out) if out.ndim == 0 else out
 
 
@@ -240,11 +316,8 @@ def convexity_defect(norm: NormSpec, u, v) -> float:
     av = as_vector(v, norm.dim, "v")
     if not np.any(au) or not np.any(av):
         raise ValueError("convexity_defect requires nonzero vectors")
-    return float(
-        _eval_family(norm.family, au)
-        + _eval_family(norm.family, av)
-        - _eval_family(norm.family, au + av)
-    )
+    dist = norm.family.dist
+    return float(dist(au) + dist(av) - dist(au + av))
 
 
 def is_strictly_convex_family(norm: NormSpec) -> bool:
@@ -265,19 +338,6 @@ def is_strictly_convex_family(norm: NormSpec) -> bool:
     return True  # SupPlusWeightedL2, WeightedPNorm
 
 
-def _sgn_vertex(v: np.ndarray) -> np.ndarray:
-    # Extreme vertex of the sign box: zeros resolve deterministically to +1.
-    return np.where(v >= 0.0, 1.0, -1.0)
-
-
-def _sup_subgradient(v: np.ndarray) -> np.ndarray:
-    # The signed lowest argmax coordinate (+1 at zero).
-    i = int(np.argmax(np.abs(v)))
-    g = np.zeros_like(v)
-    g[i] = 1.0 if v[i] >= 0.0 else -1.0
-    return g
-
-
 def norm_subgradient(norm: NormSpec, v) -> np.ndarray:
     """A deterministic subgradient of ``norm`` at ``v``.
 
@@ -287,44 +347,8 @@ def norm_subgradient(norm: NormSpec, v) -> np.ndarray:
     lowest argmax coordinate.  At v = 0 the zero vector is returned (a valid
     subgradient of any norm at the origin).
     """
-    return _subgrad_family(norm.family, as_vector(v, norm.dim, "v"))
-
-
-def _subgrad_family(fam: Family, v: np.ndarray) -> np.ndarray:
-    if not np.any(v):
-        return np.zeros_like(v)
-    if isinstance(fam, PNorm):
-        p = fam.p
-        if p == 1.0:
-            return _sgn_vertex(v)
-        if p == INF:
-            return _sup_subgradient(v)
-        if p == 2.0:
-            return v / np.linalg.norm(v)
-        # Normalize first so |v|^(p-1) cannot overflow for large p.
-        scale = np.max(np.abs(v))
-        u = v / scale
-        num = np.sign(u) * np.abs(u) ** (p - 1.0)
-        return num / np.linalg.norm(u, ord=p) ** (p - 1.0)
-    if isinstance(fam, SumComposite):
-        g = np.zeros_like(v)
-        for w, child in fam.terms:
-            g = g + w * _subgrad_family(child.family, v)
-        return g
-    if isinstance(fam, SupPlusWeightedL2):
-        g = _sup_subgradient(v)
-        w = np.asarray(fam.weights)
-        l2 = np.sqrt(np.sum(w * v * v))
-        if l2 > 0.0:
-            g = g + w * v / l2
-        return g
-    p = fam.p  # WeightedPNorm
-    w = np.asarray(fam.weights)
-    scale = np.max(np.abs(v))
-    u = v / scale
-    total = np.sum(w * np.abs(u) ** p) ** (1.0 / p)
-    num = w * np.sign(u) * np.abs(u) ** (p - 1.0)
-    return num / total ** (p - 1.0)
+    # Contiguous, as the kernels' rows are: a strided dot product rounds differently.
+    return norm.family.subgrad(np.ascontiguousarray(as_vector(v, norm.dim, "v")))
 
 
 def linf_lower_constant(norm: NormSpec) -> float:

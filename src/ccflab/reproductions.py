@@ -31,7 +31,7 @@ import numpy as np
 
 from .ccf import CcfWitness, verify_ccf_witness
 from .codec import Record
-from .norms import NormSpec, WeightedPNorm, _eval_family, pnorm, sum_composite, sup_plus_weighted_l2
+from .norms import NormSpec, WeightedPNorm, pnorm, sum_composite, sup_plus_weighted_l2
 from .sampling import rng_stream
 from .sets import PointSet, diameter, farthest_set, outer_radius
 from .solver import SolverOptions, chebyshev_center, symmetric_line_minimize
@@ -110,7 +110,7 @@ def example_finite_dim(n: int, opts: SolverOptions | None = None) -> ExampleRepo
     z = np.ones(n)
     checks: list[Check] = []
 
-    d_basis = _eval_family(norm.family, z - np.eye(n))
+    d_basis = norm.family.dist(z - np.eye(n))
     want_basis = (n - 1) + np.sqrt(n - 1) / 2.0
     checks.append(
         _check(
@@ -121,7 +121,7 @@ def example_finite_dim(n: int, opts: SolverOptions | None = None) -> ExampleRepo
         )
     )
 
-    d_origin = float(_eval_family(norm.family, z))
+    d_origin = float(norm.family.dist(z))
     want_origin = n + np.sqrt(n) / 2.0
     checks.append(
         _check(
@@ -144,7 +144,7 @@ def example_finite_dim(n: int, opts: SolverOptions | None = None) -> ExampleRepo
 
     s_star, r_star = symmetric_line_minimize(A, z)
     s_grid = np.linspace(-2.0, 2.0, 401)
-    scan_min = min(float(np.max(_eval_family(norm.family, s * z - pts))) for s in s_grid)
+    scan_min = float(norm.family.dist(s_grid[:, None, None] * z - pts).max(axis=-1).min())
     line_ok = abs(s_star) <= 1e-6 and scan_min >= 1.5 - 1e-12
     checks.append(
         _check(
@@ -200,7 +200,7 @@ def example_c0_truncated(N: int, opts: SolverOptions | None = None) -> ExampleRe
     A = PointSet(norm, np.vstack(pts))
     checks: list[Check] = []
 
-    norms_obs = _eval_family(norm.family, A.points[1:])
+    norms_obs = norm.family.dist(A.points[1:])
     want = (1.0 - 1.0 / ns) + np.sqrt(
         1.0 / (4.0 * ns**2) + 4.0**-ns * (1.0 - 1.0 / ns) ** 2
     )
@@ -239,7 +239,7 @@ def example_c0_truncated(N: int, opts: SolverOptions | None = None) -> ExampleRe
 
     e1 = np.zeros(N)
     e1[0] = 1.0
-    d_e1 = _eval_family(norm.family, A.points[1:] - e1)
+    d_e1 = norm.family.dist(A.points[1:] - e1)
     want_e1 = np.repeat((1.0 - 1.0 / ns) * (1.0 + np.sqrt(0.25 + 4.0**-ns)), 2)
     dev_e1 = float(np.max(np.abs(d_e1 - want_e1)))
     fq = farthest_set(A, e1)
@@ -405,7 +405,7 @@ def embed_lp3(
 
     l3 = pnorm(3, p)
     xs = rng.normal(size=(test_vectors, 3))
-    iso_dev = float(np.max(np.abs(_eval_family(norm.family, xs @ basis) - _eval_family(l3.family, xs))))
+    iso_dev = float(np.max(np.abs(norm.family.dist(xs @ basis) - l3.family.dist(xs))))
     checks.append(
         _check("isometry: ||T x|| matches ||x||_p", "dev <= 1e-12", f"{iso_dev:.2e}", iso_dev <= 1e-12)
     )
@@ -417,8 +417,8 @@ def embed_lp3(
     )
 
     fs = rng.normal(size=(test_vectors, m))
-    norm_P = _eval_family(norm.family, np.where(keep, fs, 0.0))
-    norm_f = _eval_family(norm.family, fs)
+    norm_P = norm.family.dist(np.where(keep, fs, 0.0))
+    norm_f = norm.family.dist(fs)
     proj_ok = bool(np.all(norm_P <= norm_f + 1e-12))
     checks.append(
         _check(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Record
-from .norms import NormSpec, _as_batch, _eval_family, as_vector
+from .norms import NormSpec, _as_batch, as_vector
 
 __all__ = [
     "DEFAULT_ACHIEVER_TOL",
@@ -77,7 +77,7 @@ class FarthestQuery(Record):
 
 def outer_radius(A: PointSet, x) -> float:
     """max_a ||x - a|| over the (finite) set: the outer radius at x."""
-    return float(np.max(_eval_family(A.norm.family, A.points - as_vector(x, A.dim))))
+    return float(np.max(A.norm.family.dist(A.points - as_vector(x, A.dim))))
 
 
 def _achievers(dists: np.ndarray, tol: float) -> tuple[int, ...]:
@@ -92,7 +92,7 @@ def farthest_set(A: PointSet, x, tol: float = DEFAULT_ACHIEVER_TOL) -> FarthestQ
     if not (tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol}")
     ax = as_vector(x, A.dim, "viewpoint")
-    dists = _eval_family(A.norm.family, A.points - ax)
+    dists = A.norm.family.dist(A.points - ax)
     return FarthestQuery(ax, float(np.max(dists)), _achievers(dists, tol), tol)
 
 
@@ -105,7 +105,7 @@ def diameter(A: PointSet) -> float:
     best = 0.0
     # Row-by-row keeps memory linear; sets here are small.
     for i in range(m - 1):
-        d = _eval_family(A.norm.family, pts[i + 1 :] - pts[i])
+        d = A.norm.family.dist(pts[i + 1 :] - pts[i])
         best = max(best, float(np.max(d)))
     return best
 

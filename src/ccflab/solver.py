@@ -24,12 +24,13 @@ other in tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .codec import Record
-from .norms import _eval_family, _subgrad_family, as_vector, linf_lower_constant
+from .norms import as_vector, linf_lower_constant
 from .sets import DEFAULT_ACHIEVER_TOL, PointSet, _achievers
 
 __all__ = [
@@ -107,24 +108,29 @@ def _ellipsoid_round(A: PointSet, W: np.ndarray, x0: np.ndarray, max_iters: int)
 
     Starts from the Euclidean ball of radius 2 F_W(x0) sqrt(n) / a around x0
     (a = linf_lower_constant), which holds every Chebyshev center c of W:
-    ||c - x0|| <= r(W) + F_W(x0).  Returns the best point, its value, the
-    best certified lower bound on r(W) and the iterations used.
+    ||c - x0|| <= r(W) + F_W(x0).  Returns the best point, its value, the best
+    certified lower bound on r(W) and the iterations (-inf and 0 on overflow).
     """
     n = A.dim
+    dist, subgrad = A.norm.family.dist, A.norm.family.subgrad
     x = x0
-    best_x, best_f = x0, float(np.max(_eval_family(A.norm.family, W - x0)))
-    L = np.eye(n) * (2.0 * best_f * np.sqrt(n) / linf_lower_constant(A.norm))
-    lower = -np.inf
+    best_x, best_f = x0, float(dist(W - x0).max())
+    r0 = 2.0 * best_f * math.sqrt(n) / linf_lower_constant(A.norm)
+    if not math.isfinite(r0):
+        return x0, best_f, -math.inf, 0
+    L = np.eye(n) * r0
+    lower = -math.inf
     k = 0
     while k < max_iters:
         k += 1
-        dists = _eval_family(A.norm.family, x - W)
-        i = int(np.argmax(dists))
+        diffs = x - W
+        dists = dist(diffs)
+        i = dists.argmax()
         f = float(dists[i])
         if f < best_f:
             best_x, best_f = x, f
-        Lg = L.T @ _subgrad_family(A.norm.family, x - W[i])
-        width = float(np.linalg.norm(Lg))  # max of g.(x - y) over the ellipsoid
+        Lg = L.T @ subgrad(diffs[i])
+        width = math.sqrt(Lg.dot(Lg))  # max of g.(x - y) over the ellipsoid
         lower = max(lower, f - width)
         if best_f - lower <= _ROUND_RTOL * max(1.0, best_f):
             break
@@ -134,8 +140,8 @@ def _ellipsoid_round(A: PointSet, W: np.ndarray, x0: np.ndarray, max_iters: int)
         Lu = L @ u
         x = x - (1.0 + n * alpha) / (n + 1.0) * Lu
         sigma = 2.0 * (1.0 + n * alpha) / ((n + 1.0) * (1.0 + alpha))
-        scale = np.sqrt(n * n * (1.0 - alpha * alpha) / (n * n - 1.0))
-        L = scale * (L - (1.0 - np.sqrt(1.0 - sigma)) * np.outer(Lu, u))
+        scale = math.sqrt(n * n * (1.0 - alpha * alpha) / (n * n - 1.0))
+        L = scale * (L - (1.0 - math.sqrt(1.0 - sigma)) * (Lu[:, None] * u))
     return best_x, best_f, lower, k
 
 
@@ -165,7 +171,7 @@ def chebyshev_center(
         starts = [(lo + hi) / 2.0]
     else:
         starts = [pts.mean(axis=0)] + [as_vector(s, A.dim, "start") for s in extra_starts or ()]
-    dists = [_eval_family(A.norm.family, pts - s) for s in starts]
+    dists = [A.norm.family.dist(pts - s) for s in starts]
     k = int(np.argmin([np.max(d) for d in dists]))
     best_x, best_d = starts[k], dists[k]
     best_r = float(np.max(best_d))
@@ -173,7 +179,7 @@ def chebyshev_center(
         raise ValueError(f"the outer radius at the start is {best_r}: distances left the float range")
     if exact:
         # r(A) >= diam(A)/2, which the midpoint attains in one dimension.
-        lower = float(_eval_family(A.norm.family, hi - lo)) / 2.0
+        lower = float(A.norm.family.dist(hi - lo)) / 2.0
         return _assemble(A, best_x, lower, iterations=0, dists=best_d)
 
     budget = 1000 + 50 * A.dim**2 if opts.max_iters is None else opts.max_iters
@@ -186,7 +192,7 @@ def chebyshev_center(
         iterations += its
         if np.isfinite(lb):  # a distance that overflowed to inf bounds nothing
             lower = max(lower, lb)
-        d = _eval_family(A.norm.family, pts - x)
+        d = A.norm.family.dist(pts - x)
         if float(np.max(d)) < best_r:
             best_x, best_d, best_r = x, d, float(np.max(d))
         violators = np.setdiff1d(np.flatnonzero(d > f_w), W)
@@ -204,7 +210,7 @@ def _assemble(A, center, gap_lb, iterations, flags=(), dists=None) -> CenterResu
     """The result at ``center``; ``dists`` are its distances to the points,
     when the caller already has them."""
     if dists is None:
-        dists = _eval_family(A.norm.family, A.points - center)
+        dists = A.norm.family.dist(A.points - center)
     radius = float(np.max(dists))  # outer_radius(A, center), bit for bit
     return CenterResult(
         center=center,
@@ -256,7 +262,7 @@ def brute_force_center(
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, A.dim)
         rvals = np.full(len(grid), -np.inf)
         for a in A.points:
-            rvals = np.maximum(rvals, _eval_family(A.norm.family, grid - a))
+            rvals = np.maximum(rvals, A.norm.family.dist(grid - a))
         evals += len(grid)
         spacing = (hi - lo) / (grid_per_axis - 1)
         k = int(np.argmin(rvals))
@@ -268,7 +274,7 @@ def brute_force_center(
         # (objective is 1-Lipschitz in the ambient norm), so the bounding box
         # of that sublevel set, padded by one cell, still contains it.  This
         # is robust to flat valleys, unlike refining around the argmin alone.
-        half_diag = float(_eval_family(A.norm.family, spacing / 2.0))
+        half_diag = float(A.norm.family.dist(spacing / 2.0))
         keep = grid[rvals <= rvals[k] + half_diag + 1e-12]
         lo = np.maximum(keep.min(axis=0) - spacing, lo0)
         hi = np.minimum(keep.max(axis=0) + spacing, hi0)
@@ -278,7 +284,7 @@ def brute_force_center(
         flags = ("box_boundary",)
 
     result = _assemble(A, best_x, 0.0, evals, flags)
-    cell_diag = float(_eval_family(A.norm.family, spacing))
+    cell_diag = float(A.norm.family.dist(spacing))
     return replace(result, gap=cell_diag)
 
 
@@ -298,14 +304,14 @@ def symmetric_line_minimize(A: PointSet, direction) -> tuple[float, float]:
     d = as_vector(direction, A.dim, "direction")
     if not np.any(d):
         raise ValueError("direction must be nonzero")
-    dn = float(_eval_family(A.norm.family, d))
-    reach = (2.0 * float(np.max(_eval_family(A.norm.family, A.points))) + 1.0) / dn
+    dist, subgrad = A.norm.family.dist, A.norm.family.subgrad
+    dn = float(dist(d))
+    reach = (2.0 * float(dist(A.points).max()) + 1.0) / dn
     lo, hi = -reach, reach
     while hi - lo > 1e-13 * reach:
         s = (lo + hi) / 2.0
         diffs = s * d - A.points
-        i = int(np.argmax(_eval_family(A.norm.family, diffs)))
-        slope = float(_subgrad_family(A.norm.family, diffs[i]) @ d)
+        slope = float(subgrad(diffs[dist(diffs).argmax()]) @ d)
         if slope == 0.0:
             lo = hi = s
         elif slope > 0.0:
@@ -313,4 +319,4 @@ def symmetric_line_minimize(A: PointSet, direction) -> tuple[float, float]:
         else:
             lo = s
     s = (lo + hi) / 2.0
-    return s, float(np.max(_eval_family(A.norm.family, s * d - A.points)))
+    return s, float(dist(s * d - A.points).max())

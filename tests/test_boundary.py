@@ -1,8 +1,8 @@
 """Inputs are checked once, where they enter.
 
 ``eval_norm`` and ``norm_subgradient`` are the checked entry points for
-callers outside the package.  Inside it, the layers call the unchecked
-kernels ``norms._eval_family`` / ``norms._subgrad_family`` on arrays that
+callers outside the package.  Inside it, the layers call each norm family's
+unchecked kernels ``family.dist`` / ``family.subgrad`` on arrays that
 ``PointSet``, ``TwoBallSet``, ``CcfWitness``, the codec or a public
 function's ``as_vector`` already checked, so the array rule (``_as_batch``)
 runs a fixed number of times per call, whatever the iteration count.

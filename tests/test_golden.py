@@ -7,8 +7,9 @@ dataclass codec replaced, the embedding, ap-witness and cap-check files by
 the trial-and-retry cap arc, the second farthest pass of the witness check
 and the per-row embedding projection, and the finite-dim, sp-grid and
 weighted embedding reports by the reports that stored their ``overall`` flag
-and the embedding that took a separate space type.  The refactors must
-reproduce them exactly.
+and the embedding that took a separate space type, and the linf and l1.5
+centers by the norm evaluators that dispatched on the family at every call.
+The refactors must reproduce them exactly.
 """
 
 import json
@@ -30,6 +31,25 @@ L1_SET = {
     "points": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
 }
 
+LINF_POINTS = [
+    [1.0, 0.25, -0.5, 0.0],
+    [-0.75, 0.5, 0.25, 1.0],
+    [0.0, -1.0, 0.5, -0.25],
+    [0.5, 0.75, -1.0, 0.5],
+    [-0.5, 0.0, 0.75, -1.0],
+    [0.25, -0.5, 0.0, 0.75],
+]
+
+L1P5_POINTS = [
+    [1.0, 0.0, 0.5, -0.25, 0.0],
+    [0.0, 1.0, -0.5, 0.25, 0.5],
+    [-1.0, 0.5, 0.0, 0.5, -0.5],
+    [0.25, -1.0, 0.75, 0.0, 0.25],
+    [0.5, 0.25, -1.0, -0.5, 0.75],
+    [-0.25, -0.5, 0.25, 1.0, -1.0],
+    [0.75, 0.5, 0.5, 0.5, 0.5],
+]
+
 CASES = {
     "center": ["center", "--input", json.dumps(EUCLID_PAIR)],
     # An exhausted budget writes the "flags" key that a converged center omits.
@@ -39,6 +59,17 @@ CASES = {
         json.dumps({**L1_SET, "points": [[1.0, 0.0], [0.0, 1.0], [0.3, -0.4]]}),
         "--max-iters",
         "2",
+    ],
+    # The solver's iterates on the linf and general p-norm kernels.
+    "center_linf": [
+        "center",
+        "--input",
+        json.dumps({"norm": {"dim": 4, "family": {"pnorm": "inf"}}, "points": LINF_POINTS}),
+    ],
+    "center_l1p5": [
+        "center",
+        "--input",
+        json.dumps({"norm": {"dim": 5, "family": {"pnorm": 1.5}}, "points": L1P5_POINTS}),
     ],
     "farthest": ["farthest", "--input", json.dumps({"set": EUCLID_PAIR, "viewpoint": [0.0, 2.0]})],
     "ccf_verify": [

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -229,6 +230,99 @@ class TestSubgradient:
         assert np.all(norm_subgradient(pnorm(3, 2), np.zeros(3)) == 0.0)
 
 
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def pinning_batch():
+    """40 rows in R^4 of mixed magnitudes, a zero row and a row with a tie and a zero."""
+    rng = rng_stream(23, "pinned")
+    X = rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-3, 4, size=(40, 1))
+    X[0] = 0.0
+    X[1] = [0.5, -0.5, 0.0, 0.25]
+    return X
+
+
+class TestFloatOperationsPinned:
+    """The evaluators and subgradients do the same float operations, in the
+    same order, as the reference formulas written here, bit for bit: the
+    solver's iterates and every golden depend on the last bit."""
+
+    WEIGHTS = (2.0, 0.5, 1.0, 3.0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+    def test_pnorm_matches_numpy(self, p):
+        X = pinning_batch()
+        same_bits(eval_norm(pnorm(4, p), X), np.linalg.norm(X, ord=p, axis=-1))
+        same_bits(eval_norm(pnorm(4, p), X.reshape(4, 10, 4)), np.linalg.norm(X.reshape(4, 10, 4), ord=p, axis=-1))
+        for x in X[:6]:
+            same_bits(eval_norm(pnorm(4, p), x), np.linalg.norm(x, ord=p, axis=-1))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_weighted_pnorm_matches_numpy(self, p):
+        X = pinning_batch()
+        w = np.asarray(self.WEIGHTS)
+        spec = weighted_pnorm(p, self.WEIGHTS)
+        same_bits(eval_norm(spec, X), np.linalg.norm(X * w ** (1.0 / p), ord=p, axis=-1))
+        for x in X[:6]:
+            same_bits(eval_norm(spec, x), np.linalg.norm(x * w ** (1.0 / p), ord=p, axis=-1))
+
+    def test_sup_plus_weighted_l2_and_sum(self):
+        X = pinning_batch()
+        w = np.asarray(self.WEIGHTS)
+        want = np.max(np.abs(X), axis=-1) + np.sqrt(np.sum(w * X * X, axis=-1))
+        same_bits(eval_norm(sup_plus_weighted_l2(self.WEIGHTS), X), want)
+        want = np.zeros(len(X)) + 1.0 * np.linalg.norm(X, ord=1, axis=-1)
+        want = want + 0.5 * np.linalg.norm(X, ord=2, axis=-1)
+        same_bits(eval_norm(ones_plus_half_l2(4), X), want)
+
+    @staticmethod
+    def reference_subgradient(kind, v, p=None, w=None):
+        if not np.any(v):
+            return np.zeros_like(v)
+        if kind == "sup":
+            i = int(np.argmax(np.abs(v)))
+            g = np.zeros_like(v)
+            g[i] = 1.0 if v[i] >= 0.0 else -1.0
+            return g
+        if kind == "l1":
+            return np.where(v >= 0.0, 1.0, -1.0)
+        if kind == "l2":
+            return v / np.linalg.norm(v)
+        u = v / np.max(np.abs(v))
+        if kind == "lp":
+            return np.sign(u) * np.abs(u) ** (p - 1.0) / np.linalg.norm(u, ord=p) ** (p - 1.0)
+        total = np.sum(w * np.abs(u) ** p) ** (1.0 / p)  # weighted p-norm
+        return w * np.sign(u) * np.abs(u) ** (p - 1.0) / total ** (p - 1.0)
+
+    def test_subgradients_match_reference_formulas(self):
+        w = np.asarray(self.WEIGHTS)
+        ref = self.reference_subgradient
+        for v in pinning_batch():
+            same_bits(norm_subgradient(pnorm(4, 1), v), ref("l1", v))
+            same_bits(norm_subgradient(pnorm(4, INF), v), ref("sup", v))
+            same_bits(norm_subgradient(pnorm(4, 2), v), ref("l2", v))
+            for p in (1.5, 3.0, 100.0):
+                same_bits(norm_subgradient(pnorm(4, p), v), ref("lp", v, p))
+                same_bits(norm_subgradient(weighted_pnorm(p, self.WEIGHTS), v), ref("wlp", v, p, w))
+            want = ref("sup", v)
+            l2 = np.sqrt(np.sum(w * v * v))
+            if l2 > 0.0:
+                want = want + w * v / l2
+            same_bits(norm_subgradient(sup_plus_weighted_l2(self.WEIGHTS), v), want)
+            want = np.zeros_like(v) + 1.0 * ref("l1", v) + 0.5 * ref("l2", v) if np.any(v) else np.zeros_like(v)
+            same_bits(norm_subgradient(ones_plus_half_l2(4), v), want)
+
+    def test_strided_vector_subgradient(self):
+        # The columns of a batch are strided vectors; numpy's vector norm
+        # dots a contiguous copy, and a strided dot product rounds differently.
+        M = pinning_batch().reshape(10, 4, 4)
+        for block in M:
+            for v in block.T:
+                same_bits(norm_subgradient(pnorm(4, 2), v), self.reference_subgradient("l2", v))
+
+
 class TestSpecValidation:
     def test_pnorm_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -274,6 +368,19 @@ class TestJsonCodec:
     )
     def test_round_trip(self, spec):
         assert norm_from_dict(norm_to_dict(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "spec",
+        [pnorm(2, p) for p in (1, 2, 3, INF)] + [ones_plus_half_l2(3), truncated_seq_norm(3), weighted_pnorm(3.0, (2.0, 0.5))],
+        ids=str,
+    )
+    def test_pickle_round_trip_keeps_the_kernels(self, spec):
+        # A family's kernels are chosen when it is built; a copy builds its own.
+        copy = pickle.loads(pickle.dumps(spec))
+        v = np.arange(1.0, spec.dim + 1.0)
+        assert copy == spec
+        assert eval_norm(copy, v) == eval_norm(spec, v)
+        assert np.array_equal(norm_subgradient(copy, v), norm_subgradient(spec, v))
 
     def test_inf_encoded_as_string(self):
         assert norm_to_dict(pnorm(2, INF))["family"]["pnorm"] == "inf"

@@ -190,6 +190,16 @@ class TestFloatRange:
         assert not res.converged
         assert res.radius - res.gap <= 650.0
 
+    def test_start_ellipsoid_beyond_float_range_certifies_nothing(self):
+        # The start radius, 1e308, is finite, but the start ellipsoid's radius
+        # 2 F sqrt(n) / a overflows: the round returns at once rather than
+        # running its whole budget on NaN, and raises no float warning.
+        points = [[1e308, 0.0], [0.0, 1e308], [5e307, 5e307]]
+        res = chebyshev_center(PointSet(pnorm(2, 1), points))
+        assert res.iterations == 0
+        assert res.flags == ("not_converged",)
+        assert (res.radius, res.gap) == (1e308, 1e308)
+
 
 class TestPythagoreanRadiusBound:
     # Hilbert-space strengthening of the radius lower bound:
