@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from .norms import NormSpec, as_vector, linf_lower_constant
+from .norms import NormSpec, _rowwise, as_vector, linf_lower_constant
 
 __all__ = [
     "rng_stream",
@@ -70,7 +70,8 @@ def rejection_sample_two_balls(
     a = linf_lower_constant(norm)
     lo = np.maximum(c - r / a, y - R / a)
     hi = np.minimum(c + r / a, y + R / a)
-    cand = rng.uniform(size=(proposals, norm.dim)) * (hi - lo) + lo
-    keep = (norm.family.dist(cand - c) <= r) & (norm.family.dist(cand - y) <= R)
-    pts = cand[keep]
+    cand = _rowwise(np.add, _rowwise(np.multiply, rng.uniform(size=(proposals, norm.dim)), hi - lo), lo)
+    dist = norm.family.dist
+    keep = (dist(_rowwise(np.subtract, cand, c)) <= r) & (dist(_rowwise(np.subtract, cand, y)) <= R)
+    pts = np.compress(keep, cand, axis=0)  # cand[keep], without numpy's per-row cost
     return pts, int(pts.shape[0]), proposals

@@ -9,9 +9,11 @@ x; the subgradient inequality then bounds r(W) <= r(A) from below by
 F_W(x) - max_{y in E} g.(x - y).  A round stops once the best radius is
 within 1e-12 * max(1, radius) of the best such bound, or when its budget runs
 out.  The points of A that the round's center misses then join W (a
-Badoiu-Clarkson core set), and rounds repeat until none remain, so large
-samples cost about as much as their few active points.  The gap between the
-radius and the bound is the certificate reported as ``CenterResult.gap``.
+Badoiu-Clarkson core set), and rounds repeat until none remain.  So the
+iterations see only the few active points, and the whole sample is read
+once per start and per round, column by column when it is long and narrow.
+The gap between the radius and the bound is the certificate reported as
+``CenterResult.gap``.
 
 The ellipsoid is kept in factored form, P = L L^T, so it stays positive
 definite however thin it gets.  In one dimension every norm is a multiple
@@ -30,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .codec import Record
-from .norms import as_vector, linf_lower_constant
+from .norms import _by_columns, _rowwise, as_vector, linf_lower_constant
 from .sets import DEFAULT_ACHIEVER_TOL, PointSet, _achievers
 
 __all__ = [
@@ -103,6 +105,36 @@ class CenterResult(Record):
         return out
 
 
+def _farthest_first(d: np.ndarray, k: int) -> np.ndarray:
+    """np.argsort(-d, kind="stable")[:k] in O(len(d)): the indices of the k
+    largest distances, largest first and ties in index order.
+
+    Every index whose distance reaches the k-th largest is kept, in index
+    order, so the stable sort of those few alone gives the same ranking.
+    """
+    if k < len(d):
+        kth = np.partition(d, len(d) - k)[len(d) - k]
+        top = np.flatnonzero(d >= kth)
+        return top[np.argsort(-d[top], kind="stable")[:k]]
+    return np.argsort(-d, kind="stable")
+
+
+def _bounds(pts: np.ndarray):
+    """pts.min(axis=0) and pts.max(axis=0); a long narrow batch goes column
+    by column, since numpy pays a fixed cost per row when it reduces axis 0."""
+    if not _by_columns(pts):
+        return pts.min(axis=0), pts.max(axis=0)
+    return np.array([c.min() for c in pts.T]), np.array([c.max() for c in pts.T])
+
+
+def _centroid(pts: np.ndarray) -> np.ndarray:
+    """pts.mean(axis=0), bit for bit: over two or more columns numpy adds
+    the rows one after another, as accumulate does."""
+    if not _by_columns(pts):
+        return pts.mean(axis=0)
+    return np.add.accumulate(pts)[-1] / len(pts)
+
+
 def _ellipsoid_round(A: PointSet, W: np.ndarray, x0: np.ndarray, max_iters: int):
     """Deep-cut ellipsoid method on F_W(x) = max_{a in W} ||x - a||.
 
@@ -164,14 +196,14 @@ def chebyshev_center(
     if A.dim > _DIM_CAP:
         raise ValueError(f"dimension {A.dim} exceeds solver cap {_DIM_CAP}")
     pts = A.points
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    lo, hi = _bounds(pts)
     distinct = not np.array_equal(lo, hi)
     exact = A.dim == 1 or not distinct  # the midpoint of the extreme points is a center
     if exact:
         starts = [(lo + hi) / 2.0]
     else:
-        starts = [pts.mean(axis=0)] + [as_vector(s, A.dim, "start") for s in extra_starts or ()]
-    dists = [A.norm.family.dist(pts - s) for s in starts]
+        starts = [_centroid(pts)] + [as_vector(s, A.dim, "start") for s in extra_starts or ()]
+    dists = [A.norm.family.dist(_rowwise(np.subtract, pts, s)) for s in starts]
     k = int(np.argmin([np.max(d) for d in dists]))
     best_x, best_d = starts[k], dists[k]
     best_r = float(np.max(best_d))
@@ -184,7 +216,7 @@ def chebyshev_center(
 
     budget = 1000 + 50 * A.dim**2 if opts.max_iters is None else opts.max_iters
     core = _CORE_PER_DIM * (A.dim + 1)
-    W = np.argsort(-best_d, kind="stable")[:core]
+    W = _farthest_first(best_d, core)
     lower = 0.0
     iterations = 0
     while True:
@@ -192,13 +224,15 @@ def chebyshev_center(
         iterations += its
         if np.isfinite(lb):  # a distance that overflowed to inf bounds nothing
             lower = max(lower, lb)
-        d = A.norm.family.dist(pts - x)
+        d = A.norm.family.dist(_rowwise(np.subtract, pts, x))
         if float(np.max(d)) < best_r:
             best_x, best_d, best_r = x, d, float(np.max(d))
-        violators = np.setdiff1d(np.flatnonzero(d > f_w), W)
+        outside = d > f_w
+        outside[W] = False
+        violators = np.flatnonzero(outside)
         if not violators.size:
             break
-        W = np.concatenate([W, violators[np.argsort(-d[violators], kind="stable")[:core]]])
+        W = np.concatenate([W, violators[_farthest_first(d[violators], core)]])
 
     result = _assemble(A, best_x, lower, iterations, dists=best_d)
     if result.gap > opts.tol * max(1.0, result.radius):

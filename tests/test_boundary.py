@@ -7,6 +7,10 @@ unchecked kernels ``family.dist`` / ``family.subgrad`` on arrays that
 function's ``as_vector`` already checked, so the array rule (``_as_batch``)
 runs a fixed number of times per call, whatever the iteration count.
 
+Rows are reduced in one place as well: the norm kernels sum or maximize over
+the last axis only through ``_row_reduce``, which decides when a batch goes
+column by column.
+
 Files are read and written at one boundary too: only ``codec`` (the one
 writer) and ``cli`` (which reads ``--input`` and writes every artifact) do
 file I/O.
@@ -53,6 +57,20 @@ def _names(path: Path) -> set[str]:
 @pytest.mark.parametrize("path", LAYER_FILES, ids=lambda p: p.name)
 def test_layers_name_no_checked_evaluator(path):
     assert not _names(path) & CHECKED_EVALUATORS
+
+
+def _last_axis_reductions(node) -> int:
+    """The ``axis=-1`` arguments under ``node``."""
+    return sum(
+        isinstance(k, ast.keyword) and k.arg == "axis" and ast.unparse(k.value) == "-1" for k in ast.walk(node)
+    )
+
+
+def test_norm_kernels_reduce_rows_through_one_helper():
+    # Which rows go column by column is decided in _row_reduce alone.
+    tree = ast.parse((PACKAGE / "norms.py").read_text())
+    (helper,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_row_reduce"]
+    assert _last_axis_reductions(tree) == _last_axis_reductions(helper) == 1
 
 
 @pytest.mark.parametrize("path", IO_FREE_FILES, ids=lambda p: p.name)

@@ -8,8 +8,10 @@ the trial-and-retry cap arc, the second farthest pass of the witness check
 and the per-row embedding projection, and the finite-dim, sp-grid and
 weighted embedding reports by the reports that stored their ``overall`` flag
 and the embedding that took a separate space type, and the linf and l1.5
-centers by the norm evaluators that dispatched on the family at every call.
-The refactors must reproduce them exactly.
+centers by the norm evaluators that dispatched on the family at every call,
+and the reference-density scan by the kernels that reduced every row with one
+numpy call and ranked all distances with a full sort.  The refactors must
+reproduce them exactly.
 """
 
 import json
@@ -81,6 +83,13 @@ CASES = {
         "scan",
         "--input",
         json.dumps({"norm": {"dim": 2, "family": {"pnorm": 2}}, "z_count": 1, "t_grid": [0.5], "samples": 400}),
+    ],
+    # Cells at the reference density of `reproduce all`: about 15k sample
+    # points each, past the row count where the kernels reduce by columns.
+    "scan_reference": [
+        "scan",
+        "--input",
+        json.dumps({"norm": {"dim": 2, "family": {"pnorm": 3}}, "z_count": 2, "t_grid": [0.4, 1.0], "samples": 20000}),
     ],
     "reproduce_c0": ["reproduce", "c0", "--trunc", "5"],
     "reproduce_finite_dim": ["reproduce", "finite-dim", "--n", "3"],

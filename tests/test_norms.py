@@ -19,7 +19,7 @@ from ccflab import (
     sup_plus_weighted_l2,
     weighted_pnorm,
 )
-from ccflab.norms import NormSpec, PNorm, linf_lower_constant
+from ccflab.norms import _COLUMN_ROWS, NormSpec, PNorm, _by_columns, _rowwise, linf_lower_constant
 from ccflab.sampling import rng_stream
 
 
@@ -321,6 +321,78 @@ class TestFloatOperationsPinned:
         for block in M:
             for v in block.T:
                 same_bits(norm_subgradient(pnorm(4, 2), v), self.reference_subgradient("l2", v))
+
+
+def row_rule_batch(n):
+    """3 * _COLUMN_ROWS rows in R^n, entries from about 1e-152 to 1e152: a
+    zero row, a -0.0 row and a row of mixed-sign zeros and values first."""
+    rng = rng_stream(29, "row-rule", n)
+    rows = 3 * _COLUMN_ROWS
+    X = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-150, 151, size=(rows, 1))
+    X *= 10.0 ** rng.integers(-2, 3, size=X.shape)
+    X[0] = 0.0
+    X[1] = -0.0
+    X[2, ::2] = -0.0
+    return X
+
+
+class TestRowRule:
+    """Long batches of 2-7 columns are reduced column by column, the rest by
+    one numpy call; on either side of the row floor every family's kernel
+    gives the bits of np.linalg.norm or of TestFloatOperationsPinned's
+    formulas.  Dims 8 and 9 are where numpy sums pairwise."""
+
+    @staticmethod
+    def families(n):
+        w = np.linspace(0.5, 3.0, n)
+        cases = [
+            (pnorm(n, p), lambda X, p=p: np.linalg.norm(X, ord=p, axis=-1)) for p in (1.0, 1.5, 2.0, 3.0, INF)
+        ]
+        cases += [
+            (weighted_pnorm(p, w), lambda X, p=p: np.linalg.norm(X * w ** (1.0 / p), ord=p, axis=-1))
+            for p in (1.5, 2.0, 3.0)
+        ]
+        cases.append(
+            (sup_plus_weighted_l2(w), lambda X: np.max(np.abs(X), axis=-1) + np.sqrt(np.sum(w * X * X, axis=-1)))
+        )
+        cases.append((
+            ones_plus_half_l2(n),
+            lambda X: np.zeros(X.shape[:-1]) + 1.0 * np.linalg.norm(X, ord=1, axis=-1)
+            + 0.5 * np.linalg.norm(X, ord=2, axis=-1),
+        ))
+        return cases
+
+    @staticmethod
+    def batches(n):
+        """Below and above the row floor, each as 2 and 3 axes, and column-sliced."""
+        X = row_rule_batch(n)
+        below = X[: 3 * ((_COLUMN_ROWS - 1) // 3)]
+        wide = np.concatenate([X, X[:, :1]], axis=1)
+        for batch in (below, X):
+            yield batch
+            yield batch.reshape(3, -1, n)
+            yield wide[: len(batch), 1:]
+        yield from X[:6]
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_both_paths_run(self, n):
+        X = row_rule_batch(n)
+        assert not _by_columns(X[: _COLUMN_ROWS - 1])
+        assert _by_columns(X) == _by_columns(X.reshape(3, -1, n)) == (2 <= n <= 7)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_dist_matches_numpy(self, n):
+        for spec, want in self.families(n):
+            for batch in self.batches(n):
+                with np.errstate(over="ignore"):  # |x|^3 of 1e152 is inf on both sides
+                    same_bits(eval_norm(spec, batch), want(batch))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_rowwise_matches_broadcast(self, n):
+        v = row_rule_batch(n)[-1]
+        for batch in self.batches(n):
+            for ufunc in (np.add, np.subtract, np.multiply):
+                same_bits(_rowwise(ufunc, batch, v), ufunc(batch, v))
 
 
 class TestSpecValidation:

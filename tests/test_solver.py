@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccflab import (
     CenterResult,
@@ -17,8 +18,9 @@ from ccflab import (
     symmetric_line_minimize,
     weighted_pnorm,
 )
-from ccflab.norms import linf_lower_constant
+from ccflab.norms import _COLUMN_ROWS, linf_lower_constant
 from ccflab.sampling import rng_stream
+from ccflab.solver import _bounds, _centroid, _farthest_first
 
 
 def sp_formula(p):
@@ -105,6 +107,37 @@ class TestChebyshevCenter:
         d = chebyshev_center(unit_vectors_set(3.0)).to_dict()
         assert "spread" not in d
         assert CenterResult.from_dict({**d, "spread": 0.0}) == CenterResult.from_dict(d)
+
+
+class TestFullSamplePasses:
+    """The passes over the whole sample give the bits of the numpy calls
+    they replace, so the working sets and every golden stay the same."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        d=st.one_of(
+            st.lists(st.integers(0, 5).map(float), min_size=1, max_size=60),  # many ties
+            st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=60),
+            st.integers(1, 60).map(lambda m: [0.5] * m),  # all equal
+        ),
+        k=st.integers(1, 70),
+    )
+    def test_farthest_first_is_the_stable_argsort(self, d, k):
+        d = np.asarray(d)
+        want = np.argsort(-d, kind="stable")[:k]
+        got = _farthest_first(d, k)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 16, 64])
+    def test_bounds_and_centroid_match_numpy(self, dim):
+        rng = rng_stream(31, "prologue", dim)
+        for rows in (_COLUMN_ROWS - 1, 3 * _COLUMN_ROWS):
+            pts = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-8, 9, size=(rows, 1))
+            pts[0] = -0.0
+            pts[:, 1] = np.where(rng.uniform(size=rows) < 0.5, 0.0, -0.0)  # which zero is least
+            lo, hi = _bounds(pts)
+            for got, want in ((lo, pts.min(axis=0)), (hi, pts.max(axis=0)), (_centroid(pts), pts.mean(axis=0))):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _certificate_corpus():
