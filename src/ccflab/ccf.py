@@ -23,7 +23,7 @@ from .codec import Record, csv_text
 from .norms import NormSpec, as_vector
 from .sampling import rejection_sample_two_balls, rng_stream, sample_unit_vectors
 from .sets import DEFAULT_ACHIEVER_TOL, PointSet, _achievers, outer_radius
-from .solver import CenterResult, SolverOptions, chebyshev_center
+from .solver import CenterResult, _check_solvable, chebyshev_center
 
 __all__ = [
     "CONFIRMED",
@@ -108,7 +108,7 @@ class WitnessVerdict(Record):
         return self.status == CONFIRMED
 
 
-def verify_ccf_witness(w: CcfWitness, opts: SolverOptions | None = None) -> WitnessVerdict:
+def verify_ccf_witness(w: CcfWitness, max_iters: int | None = None) -> WitnessVerdict:
     """Check whether the claimed point is a Chebyshev center *and* a farthest
     point from the claimed viewpoint.
 
@@ -120,7 +120,7 @@ def verify_ccf_witness(w: CcfWitness, opts: SolverOptions | None = None) -> Witn
     if not A.nontrivial:
         raise ValueError("witness set must be nontrivial (two distinct points)")
     claimed = A.points[w.center_index]
-    solved = chebyshev_center(A, opts, extra_starts=[claimed])
+    solved = chebyshev_center(A, max_iters, extra_starts=[claimed])
     r_claimed = outer_radius(A, claimed)
     center_margin = solved.radius + w.center_tol - r_claimed
 
@@ -274,7 +274,7 @@ def check_two_ball_properties(
     U: TwoBallSet,
     A: PointSet,
     samples: int,
-    opts: SolverOptions | None = None,
+    max_iters: int | None = None,
 ) -> TwoBallReport:
     """Exercise the two-ball body's containment and radius properties, each
     up to DEFAULT_ACHIEVER_TOL."""
@@ -285,7 +285,7 @@ def check_two_ball_properties(
 
     pts, accepted, proposed = U.sample(samples)
     sample_set = PointSet(A.norm, pts)
-    solved = chebyshev_center(sample_set, opts, extra_starts=[U.c])
+    solved = chebyshev_center(sample_set, max_iters, extra_starts=[U.c])
     r_c_sample = outer_radius(sample_set, U.c)
     max_to_y = float(np.max(A.norm.family.dist(pts - U.y)))
     return TwoBallReport(
@@ -337,7 +337,7 @@ def estimate_r_tz(
     z,
     t: float,
     samples: int,
-    opts: SolverOptions | None = None,
+    max_iters: int | None = None,
     seed: int = 0,
 ) -> RtzEstimate:
     """Inner-sample B_X ∩ B[z, t] and solve the sample's Chebyshev radius.
@@ -346,9 +346,9 @@ def estimate_r_tz(
     sample starts with the anchors z and (1-t)z, so the estimate is defined
     even for thin intersections.  ``z`` must lie on the unit sphere
     (tolerance 1e-9); ``samples`` (at least 1) counts proposals; acceptance
-    below 1e-3 is flagged as ``thin_intersection``.  ``opts`` goes to the
-    solver as given (None means ``SolverOptions()``); a solve whose
-    certified gap misses its tolerance is flagged ``solver_not_converged``.
+    below 1e-3 is flagged as ``thin_intersection``.  ``max_iters`` goes to
+    the solver as given; a solve that does not converge is flagged
+    ``solver_not_converged``.
     """
     az = _on_unit_sphere(norm, z, "z")
     if not (0.0 < t <= 1.0):
@@ -363,7 +363,7 @@ def estimate_r_tz(
         flags = ("thin_intersection",)
 
     # The anchors stay first: the solver's working set depends on row order.
-    solved = chebyshev_center(PointSet(norm, pts), opts, extra_starts=[az])
+    solved = chebyshev_center(PointSet(norm, pts), max_iters, extra_starts=[az])
     if not solved.converged:
         flags = flags + ("solver_not_converged",)
     return RtzEstimate(
@@ -429,14 +429,16 @@ def ccnf_scan(
     t_grid,
     samples: int,
     seed: int = 0,
-    opts: SolverOptions | None = None,
+    max_iters: int | None = None,
 ) -> ScanResult:
     """Estimate r_{t,z} over a deterministic unit-sphere sample times a t-grid.
 
     ``z_count`` and ``samples`` must be at least 1.  Cells run one after
     another, z-major.  Every cell derives its own Philox stream from (seed,
     cell indices), so each row depends only on its own cell, not on the
-    order the cells run in.  ``opts`` is passed to every cell's solve.
+    order the cells run in.  ``max_iters`` is passed to every cell's solve;
+    it and the norm's dimension are checked against the solver before any
+    cell is sampled.
     """
     ts = tuple(float(t) for t in t_grid)
     if not ts:
@@ -445,10 +447,11 @@ def ccnf_scan(
         raise ValueError("t values must lie in (0, 1]")
     if z_count < 1:
         raise ValueError(f"'z_count' must be at least 1, got {z_count}")
+    _check_solvable(norm.dim, max_iters)
     zs = sample_unit_vectors(norm, z_count, rng_stream(seed, "scan-z"))
 
     rows = tuple(
-        estimate_r_tz(norm, zs[zi], ts[ti], samples, opts=opts, seed=_cell_seed(seed, zi, ti))
+        estimate_r_tz(norm, zs[zi], ts[ti], samples, max_iters, seed=_cell_seed(seed, zi, ti))
         for zi in range(z_count)
         for ti in range(len(ts))
     )

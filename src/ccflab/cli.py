@@ -24,8 +24,7 @@ the flags it reads:
   ignore it), and ``--input`` except ``reproduce``;
 * the commands that solve (``center``, ``ccf-verify``, ``scan``, and each
   ``reproduce`` target but ``sp-grid``): ``--max-iters`` (ellipsoid
-  iterations per working-set round, at least 1) and ``--tol solver=`` (the
-  certified gap that counts as converged);
+  iterations per working-set round, at least 1), their only solver setting;
 * ``cap-check``: ``--tol cap=`` (the excess that counts as contained);
 * ``scan``: ``--format json|csv``; ``reproduce`` has one subcommand per
   target, and a target's flags follow it: ``finite-dim --n``,
@@ -66,7 +65,7 @@ from .reproductions import (
     sp_grid_check,
 )
 from .sets import DEFAULT_ACHIEVER_TOL, PointSet, farthest_set
-from .solver import SolverOptions, chebyshev_center
+from .solver import chebyshev_center
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -111,10 +110,6 @@ def _emit(args, payload: dict | str) -> None:
         sys.stdout.write(text)
 
 
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(args.max_iters, args.tol)
-
-
 # --- the input object of each subcommand, decoded by ccflab.codec ------------
 
 
@@ -145,7 +140,7 @@ class CapInput(Record):
 
 
 def _cmd_center(args) -> int:
-    result = chebyshev_center(PointSet.from_dict(_load_input(args.input)), _solver_options(args))
+    result = chebyshev_center(PointSet.from_dict(_load_input(args.input)), args.max_iters)
     _emit(args, result.to_dict())
     return EXIT_OK if result.converged else EXIT_INDETERMINATE
 
@@ -158,7 +153,7 @@ def _cmd_farthest(args) -> int:
 
 def _cmd_ccf_verify(args) -> int:
     witness = CcfWitness.from_dict(_load_input(args.input))
-    verdict = verify_ccf_witness(witness, _solver_options(args))
+    verdict = verify_ccf_witness(witness, args.max_iters)
     _emit(args, verdict.to_dict())
     if verdict.status == INDETERMINATE:
         return EXIT_INDETERMINATE
@@ -167,7 +162,7 @@ def _cmd_ccf_verify(args) -> int:
 
 def _cmd_scan(args) -> int:
     inp = ScanInput.from_dict(_load_input(args.input))
-    scan = ccnf_scan(inp.norm, inp.z_count, inp.t_grid, inp.samples, args.seed, _solver_options(args))
+    scan = ccnf_scan(inp.norm, inp.z_count, inp.t_grid, inp.samples, args.seed, args.max_iters)
     _emit(args, scan.to_csv() if args.format == "csv" else scan.to_dict())
     return EXIT_OK
 
@@ -181,7 +176,7 @@ def _cmd_cap_check(args) -> int:
 
 
 def reproduce_all(
-    seed: int = 0, out_dir: str | Path | None = None, opts: SolverOptions | None = None
+    seed: int = 0, out_dir: str | Path | None = None, max_iters: int | None = None
 ) -> tuple[list[ExampleReport], dict[str, ScanResult], str]:
     """Run the full reproduction battery and the three reference scans.
 
@@ -191,17 +186,17 @@ def reproduce_all(
     and the summary is a markdown table of both.  When ``out_dir`` is given,
     it receives ``reports/NN_name.json``, ``scan_<label>.csv`` and
     ``summary.md``.  Pass/fail outcomes are stable across seeds; only
-    sampling coordinates move.  ``opts`` is passed to every solve.
+    sampling coordinates move.  ``max_iters`` is passed to every solve.
     """
-    reports = [example_finite_dim(n, opts) for n in (3, 4, 5)]
-    reports.append(example_c0_truncated(10, opts))
+    reports = [example_finite_dim(n, max_iters) for n in (3, 4, 5)]
+    reports.append(example_c0_truncated(10, max_iters))
     reports.append(sp_grid_check())
     for p in (1.5, 3.0, 4.0):
-        reports.append(ap_ccf_check(p, 100.0, opts))
-    reports.append(embed_lp3(EMBEDDING_NORM, (0, 1, 2), seed=seed, opts=opts))
+        reports.append(ap_ccf_check(p, 100.0, max_iters))
+    reports.append(embed_lp3(EMBEDDING_NORM, (0, 1, 2), seed=seed, max_iters=max_iters))
 
     scans = {
-        label: ccnf_scan(pnorm(2, p), 12, ScanInput.t_grid, 20000, seed=seed, opts=opts)
+        label: ccnf_scan(pnorm(2, p), 12, ScanInput.t_grid, 20000, seed=seed, max_iters=max_iters)
         for label, p in (("l2", 2.0), ("l3", 3.0), ("l1", 1.0))
     }
 
@@ -237,28 +232,24 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_reproduce_all(args) -> int:
-    reports, _, summary = reproduce_all(seed=args.seed, out_dir=args.output, opts=_solver_options(args))
+    reports, _, summary = reproduce_all(seed=args.seed, out_dir=args.output, max_iters=args.max_iters)
     if not args.output:
         sys.stdout.write(summary)
     return EXIT_OK if all(r.overall for r in reports) else EXIT_VERDICT
 
 
-def _tol_arg(name: str):
-    """argparse type of ``--tol name=VALUE``: each command takes one tolerance."""
-
-    def parse(text: str) -> float:
-        key, sep, value = text.partition("=")
-        if not sep or key.strip() != name:
-            raise argparse.ArgumentTypeError(f"expected {name}=VALUE, got {text!r}")
-        try:
-            tol = float(value)
-        except ValueError:
-            tol = np.nan
-        if not np.isfinite(tol):
-            raise argparse.ArgumentTypeError(f"{name}: not a finite number: {value!r}")
-        return tol
-
-    return parse
+def _cap_tol(text: str) -> float:
+    """argparse type of ``cap-check --tol cap=VALUE``."""
+    key, sep, value = text.partition("=")
+    if not sep or key.strip() != "cap":
+        raise argparse.ArgumentTypeError(f"expected cap=VALUE, got {text!r}")
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = np.nan
+    if not np.isfinite(tol):
+        raise argparse.ArgumentTypeError(f"cap: not a finite number: {value!r}")
+    return tol
 
 
 @functools.cache
@@ -269,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, *, parent=sub, solves=False, tol=None, takes_input=True,
+    def command(name, run, summary, *, parent=sub, solves=False, takes_input=True,
                 output="output path (default: stdout)", **defaults):
         p = parent.add_parser(name, help=summary)
         p.set_defaults(run=run, **defaults)
@@ -280,11 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         if solves:
             p.add_argument("--max-iters", type=int, default=None,
                            help="ellipsoid iterations per working-set round (default 1000 + 50 n^2 in dim n)")
-            tol = ("solver", SolverOptions.tol)
-        if tol is not None:
-            tol_name, default = tol
-            p.add_argument("--tol", type=_tol_arg(tol_name), default=default, metavar=f"{tol_name}=VALUE",
-                           help=f"tolerance (default {default:g})")
         return p
 
     center = command("center", _cmd_center, "Chebyshev center of a point-set JSON", solves=True)
@@ -294,23 +280,24 @@ def build_parser() -> argparse.ArgumentParser:
     command("ccf-verify", _cmd_ccf_verify, "verify a CCF witness", solves=True)
     scan = command("scan", _cmd_scan, "r_{t,z} scan over unit directions and a t-grid", solves=True)
     scan.add_argument("--format", choices=("json", "csv"), default="json")
-    command("cap-check", _cmd_cap_check, "planar cap containment check", tol=("cap", 1e-9))
+    cap = command("cap-check", _cmd_cap_check, "planar cap containment check")
+    cap.add_argument("--tol", type=_cap_tol, default=1e-9, metavar="cap=VALUE", help="tolerance (default %(default)g)")
 
     targets = sub.add_parser("reproduce", help="run a reproduction").add_subparsers(dest="target", required=True)
 
     def target(name, summary, run=_cmd_reproduce, solves=True, **defaults):
         return command(name, run, summary, parent=targets, solves=solves, takes_input=False, **defaults)
 
-    dims = target("finite-dim", "the finite-dim CCF set", build=lambda a: example_finite_dim(a.n, _solver_options(a)))
+    dims = target("finite-dim", "the finite-dim CCF set", build=lambda a: example_finite_dim(a.n, a.max_iters))
     dims.add_argument("--n", type=int, default=3, help="dimension (default %(default)s)")
-    c0 = target("c0", "the truncated c0 witness", build=lambda a: example_c0_truncated(a.trunc, _solver_options(a)))
+    c0 = target("c0", "the truncated c0 witness", build=lambda a: example_c0_truncated(a.trunc, a.max_iters))
     c0.add_argument("--trunc", type=int, default=10, help="truncation size (default %(default)s)")
     target("sp-grid", "s_p on a grid of exponents", solves=False, build=lambda a: sp_grid_check())
-    ap = target("ap-witness", "the lp^3 CCF witness", build=lambda a: ap_ccf_check(a.p, a.t, _solver_options(a)))
+    ap = target("ap-witness", "the lp^3 CCF witness", build=lambda a: ap_ccf_check(a.p, a.t, a.max_iters))
     ap.add_argument("--p", type=float, default=1.5, help="exponent (default %(default)s)")
     ap.add_argument("--t", type=float, default=100.0, help="viewpoint scale (default %(default)s)")
     emb = target("embedding", "the lp^3 witness in a weighted lp", build=lambda a: embed_lp3(
-        weighted_pnorm(a.p, a.weights.split(",")), (0, 1, 2), seed=a.seed, opts=_solver_options(a)))
+        weighted_pnorm(a.p, a.weights.split(",")), (0, 1, 2), seed=a.seed, max_iters=a.max_iters))
     emb.add_argument("--p", type=float, default=EMBEDDING_NORM.family.p, help="exponent (default %(default)s)")
     emb.add_argument("--weights", default=",".join(f"{w:g}" for w in EMBEDDING_NORM.family.weights),
                      help="comma-separated atom weights (default %(default)s)")

@@ -34,7 +34,7 @@ from .codec import Record
 from .norms import NormSpec, WeightedPNorm, pnorm, sum_composite, sup_plus_weighted_l2
 from .sampling import rng_stream
 from .sets import PointSet, diameter, farthest_set, outer_radius
-from .solver import SolverOptions, chebyshev_center, symmetric_line_minimize
+from .solver import _check_solvable, chebyshev_center, symmetric_line_minimize
 
 __all__ = [
     "Check",
@@ -93,17 +93,19 @@ def _ones_plus_half_l2(n: int) -> NormSpec:
     return sum_composite(n, [(1.0, pnorm(n, 1)), (0.5, pnorm(n, 2))])
 
 
-def example_finite_dim(n: int, opts: SolverOptions | None = None) -> ExampleReport:
+def example_finite_dim(n: int, max_iters: int | None = None) -> ExampleReport:
     """Origin plus canonical basis in the l1-plus-half-l2 norm on R^n, n >= 3.
 
     Checks: the all-ones vector sees every basis point at distance
     (n-1) + sqrt(n-1)/2, the origin strictly farther at n + sqrt(n)/2 (so the
     origin is the unique farthest point from it); the symmetric line scan has
     its minimum at s = 0 with value 3/2 everywhere on the scan; and the full
-    solver lands on the origin with radius 3/2.
+    solver lands on the origin with radius 3/2.  An n above the solver's
+    dimension cap raises ValueError before the set is built.
     """
     if n < 3:
         raise ValueError(f"requires n >= 3, got {n}")
+    _check_solvable(n, max_iters)
     norm = _ones_plus_half_l2(n)
     pts = np.vstack([np.zeros(n), np.eye(n)])
     A = PointSet(norm, pts)
@@ -155,7 +157,7 @@ def example_finite_dim(n: int, opts: SolverOptions | None = None) -> ExampleRepo
         )
     )
 
-    res = chebyshev_center(A, opts)
+    res = chebyshev_center(A, max_iters)
     center_ok = (
         res.converged
         and float(np.max(np.abs(res.center))) <= 1e-4
@@ -173,17 +175,19 @@ def example_finite_dim(n: int, opts: SolverOptions | None = None) -> ExampleRepo
     return ExampleReport("finite-dim", {"n": n}, tuple(checks))
 
 
-def example_c0_truncated(N: int, opts: SolverOptions | None = None) -> ExampleReport:
+def example_c0_truncated(N: int, max_iters: int | None = None) -> ExampleReport:
     """Truncation (dimension N, indices 2..N) of the sequence-space geometry.
 
     The ambient norm is max_k |x_k| + sqrt(sum_k 4^-k x_k^2).  The set holds
     the origin together with x_n = e_1/n + (1-1/n) e_n and its mirror
     y_n = e_1/n - (1-1/n) e_n.  In the untruncated space the set is
     centerable with radius exactly 1; the truncation states the claims as
-    N-indexed inequalities with an explicit 1/N error.
+    N-indexed inequalities with an explicit 1/N error.  An N above the
+    solver's dimension cap raises ValueError before the set is built.
     """
     if N < 3:
         raise ValueError(f"requires N >= 3, got {N}")
+    _check_solvable(N, max_iters)
     weights = 4.0 ** -np.arange(1, N + 1)
     norm = sup_plus_weighted_l2(weights)
 
@@ -226,7 +230,7 @@ def example_c0_truncated(N: int, opts: SolverOptions | None = None) -> ExampleRe
     )
 
     r_origin = outer_radius(A, np.zeros(N))
-    solved = chebyshev_center(A, opts)
+    solved = chebyshev_center(A, max_iters)
     gap = r_origin - solved.radius
     checks.append(
         _check(
@@ -300,7 +304,7 @@ def _lp3_witness(p: float, t: float):
     return sp, sign, np.vstack([np.eye(3), np.full(3, sp)]), sign * np.full(3, t)
 
 
-def ap_ccf_check(p: float, t: float = 100.0, opts: SolverOptions | None = None) -> ExampleReport:
+def ap_ccf_check(p: float, t: float = 100.0, max_iters: int | None = None) -> ExampleReport:
     """The CCF witness in lp^3 for p != 2.
 
     The set is the three unit vectors plus their Chebyshev center
@@ -328,7 +332,7 @@ def ap_ccf_check(p: float, t: float = 100.0, opts: SolverOptions | None = None) 
         )
     )
 
-    res = chebyshev_center(A, opts)
+    res = chebyshev_center(A, max_iters)
     center_ok = res.converged and float(np.max(np.abs(res.center - x_p))) <= 1e-3
     checks.append(
         _check(
@@ -351,7 +355,7 @@ def ap_ccf_check(p: float, t: float = 100.0, opts: SolverOptions | None = None) 
         )
     )
 
-    verdict = verify_ccf_witness(CcfWitness(A, 3, y), opts)
+    verdict = verify_ccf_witness(CcfWitness(A, 3, y), max_iters)
     checks.append(
         _check(
             "witness confirmed: x_p is a center and farthest from the viewpoint",
@@ -369,7 +373,7 @@ def embed_lp3(
     atoms: tuple[int, int, int],
     test_vectors: int = 1000,
     seed: int = 0,
-    opts: SolverOptions | None = None,
+    max_iters: int | None = None,
 ) -> ExampleReport:
     """Embed lp^3 isometrically onto three atom indicators of a weighted
     discrete-measure Lp space.
@@ -380,11 +384,13 @@ def embed_lp3(
     onto the span (atom averaging makes P T the identity and Holder gives
     ||P|| = 1).  Checks isometry, the retraction, the norm-one bound, and
     that the transported witness (T(A_p), T(x_p), T(y)) is confirmed in the
-    weighted space.
+    weighted space.  More atoms than the solver's dimension cap raise
+    ValueError before any test vector is drawn.
     """
     if not isinstance(norm.family, WeightedPNorm):
         raise ValueError(f"embedding needs a weighted p-norm, got {type(norm.family).__name__}")
     m = norm.dim
+    _check_solvable(m, max_iters)
     if len(set(atoms)) != 3:
         raise ValueError("need three distinct atom indices")
     if any(not (0 <= a < m) for a in atoms):
@@ -430,7 +436,7 @@ def embed_lp3(
     )
 
     _, _, Ap, y = _lp3_witness(p, 100.0)
-    verdict = verify_ccf_witness(CcfWitness(PointSet(norm, Ap @ basis), 3, y @ basis), opts)
+    verdict = verify_ccf_witness(CcfWitness(PointSet(norm, Ap @ basis), 3, y @ basis), max_iters)
     checks.append(
         _check(
             "transported witness (T A_p, T x_p, T y) confirmed",

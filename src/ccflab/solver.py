@@ -36,7 +36,6 @@ from .norms import _by_columns, _rowwise, as_vector, linf_lower_constant
 from .sets import DEFAULT_ACHIEVER_TOL, PointSet, _achievers
 
 __all__ = [
-    "SolverOptions",
     "CenterResult",
     "chebyshev_center",
     "chebyshev_radius",
@@ -51,26 +50,18 @@ _ROUND_RTOL = 1e-12
 _CORE_PER_DIM = 4
 # Largest dimension chebyshev_center accepts.
 _DIM_CAP = 64
+# The result is converged when its certified gap is at most this share of
+# max(1, radius).
+_CONVERGED_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs for :func:`chebyshev_center`.
-
-    ``max_iters`` (at least 1) bounds the ellipsoid iterations of each
-    working-set round; None picks 1000 + 50 n^2 in dimension n, since the
-    iterations a round needs grow as n^2.  The result is ``converged`` when
-    its certified gap is at most ``tol * max(1, radius)``.
-    """
-
-    max_iters: int | None = None
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if not (self.tol > 0.0):
-            raise ValueError("tol must be positive")
+def _check_solvable(dim: int, max_iters: int | None) -> None:
+    """Reject what chebyshev_center cannot solve: a dimension above the cap or
+    a budget below one iteration.  Callers that build large sets check first."""
+    if dim > _DIM_CAP:
+        raise ValueError(f"dimension {dim} exceeds solver cap {_DIM_CAP}")
+    if max_iters is not None and max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +73,8 @@ class CenterResult(Record):
     best lower bound on r(A) the ellipsoid cuts proved.  It is tight, at most
     1e-12 * max(1, radius) unless the iteration budget ran out.
     ``iterations`` counts ellipsoid iterations over all working-set rounds.
+    A gap above 1e-6 * max(1, radius) sets the ``not_converged`` flag, and
+    ``converged`` is then False.
     """
 
     _keys = ("center", "radius", "gap", ("achievers", "achieving_indices"), "iterations", "flags")
@@ -177,9 +170,7 @@ def _ellipsoid_round(A: PointSet, W: np.ndarray, x0: np.ndarray, max_iters: int)
     return best_x, best_f, lower, k
 
 
-def chebyshev_center(
-    A: PointSet, opts: SolverOptions | None = None, *, extra_starts=None
-) -> CenterResult:
+def chebyshev_center(A: PointSet, max_iters: int | None = None, *, extra_starts=None) -> CenterResult:
     """Minimize x -> max_a ||x - a|| over the ambient space.
 
     The centroid and ``extra_starts`` (callers' structurally good candidates)
@@ -187,14 +178,17 @@ def chebyshev_center(
     so the returned radius never exceeds any of theirs.  The result is
     deterministic for a given input.
 
+    ``max_iters`` (at least 1) bounds the ellipsoid iterations of each
+    working-set round; None picks 1000 + 50 n^2 in dimension n, since the
+    iterations a round needs grow as n^2.
+
     Non-convergence within the iteration budget is reported via the
     ``not_converged`` flag on the result, never by raising.  A start radius
     beyond the float range (not finite, or 0 between distinct points) raises
     ValueError, and a round whose lower bound overflowed certifies nothing.
     """
-    opts = opts or SolverOptions()
-    if A.dim > _DIM_CAP:
-        raise ValueError(f"dimension {A.dim} exceeds solver cap {_DIM_CAP}")
+    _check_solvable(A.dim, max_iters)
+    extra = [as_vector(s, A.dim, "start") for s in extra_starts or ()]
     pts = A.points
     lo, hi = _bounds(pts)
     distinct = not np.array_equal(lo, hi)
@@ -202,7 +196,7 @@ def chebyshev_center(
     if exact:
         starts = [(lo + hi) / 2.0]
     else:
-        starts = [_centroid(pts)] + [as_vector(s, A.dim, "start") for s in extra_starts or ()]
+        starts = [_centroid(pts)] + extra
     dists = [A.norm.family.dist(_rowwise(np.subtract, pts, s)) for s in starts]
     k = int(np.argmin([np.max(d) for d in dists]))
     best_x, best_d = starts[k], dists[k]
@@ -214,7 +208,7 @@ def chebyshev_center(
         lower = float(A.norm.family.dist(hi - lo)) / 2.0
         return _assemble(A, best_x, lower, iterations=0, dists=best_d)
 
-    budget = 1000 + 50 * A.dim**2 if opts.max_iters is None else opts.max_iters
+    budget = 1000 + 50 * A.dim**2 if max_iters is None else max_iters
     core = _CORE_PER_DIM * (A.dim + 1)
     W = _farthest_first(best_d, core)
     lower = 0.0
@@ -235,7 +229,7 @@ def chebyshev_center(
         W = np.concatenate([W, violators[_farthest_first(d[violators], core)]])
 
     result = _assemble(A, best_x, lower, iterations, dists=best_d)
-    if result.gap > opts.tol * max(1.0, result.radius):
+    if result.gap > _CONVERGED_RTOL * max(1.0, result.radius):
         result = replace(result, flags=("not_converged",))
     return result
 
@@ -256,8 +250,8 @@ def _assemble(A, center, gap_lb, iterations, flags=(), dists=None) -> CenterResu
     )
 
 
-def chebyshev_radius(A: PointSet, opts: SolverOptions | None = None) -> float:
-    return chebyshev_center(A, opts).radius
+def chebyshev_radius(A: PointSet, max_iters: int | None = None) -> float:
+    return chebyshev_center(A, max_iters).radius
 
 
 # --- independent grid oracle -------------------------------------------------
@@ -333,14 +327,19 @@ def symmetric_line_minimize(A: PointSet, direction) -> tuple[float, float]:
     with g a subgradient of the norm at s * direction minus a farthest point.
     The minimizer has |s| <= 2 max_a ||a|| / ||direction||, so the search
     starts just beyond that and stops once the bracket is below 1e-13 of it.
-    Returns (s, r(s * direction, A)).
+    Returns (s, r(s * direction, A)).  A direction whose norm is 0 or not
+    finite, or a start bracket that is not finite, raises ValueError.
     """
     d = as_vector(direction, A.dim, "direction")
     if not np.any(d):
         raise ValueError("direction must be nonzero")
     dist, subgrad = A.norm.family.dist, A.norm.family.subgrad
     dn = float(dist(d))
-    reach = (2.0 * float(dist(A.points).max()) + 1.0) / dn
+    reach = (2.0 * float(dist(A.points).max()) + 1.0) / dn if dn > 0.0 else math.inf
+    if not (math.isfinite(dn) and math.isfinite(reach)):
+        raise ValueError(
+            f"the direction's norm is {dn} and the start bracket reaches {reach}: distances left the float range"
+        )
     lo, hi = -reach, reach
     while hi - lo > 1e-13 * reach:
         s = (lo + hi) / 2.0

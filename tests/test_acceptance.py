@@ -11,7 +11,6 @@ import numpy as np
 from ccflab import (
     CcfWitness,
     PointSet,
-    SolverOptions,
     brute_force_center,
     cap_containment_check,
     ccnf_scan,
@@ -187,7 +186,6 @@ def test_criterion_08_cap_containment_suite():
 
 def test_criterion_09_falsification_harness_p3():
     norm = pnorm(2, 3)
-    opts = SolverOptions(max_iters=500)
     rng = rng_stream(0, "falsification")
     counterexamples = 0
     worst_margin = np.inf
@@ -200,7 +198,7 @@ def test_criterion_09_falsification_harness_p3():
             if d.min() >= 0.25:
                 break
         A = PointSet(norm, pts)
-        c = chebyshev_center(A, opts).center
+        c = chebyshev_center(A, max_iters=500).center
         vps = rng.uniform(-2.0, 3.0, size=(100, 2))
         dmax = np.max(
             np.stack([np.atleast_1d(eval_norm(norm, vps - p)) for p in pts]), axis=0

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import ccflab
-from ccflab import PointSet, SolverOptions, chebyshev_center, estimate_r_tz, pnorm
+from ccflab import PointSet, chebyshev_center, estimate_r_tz, pnorm
 
 PACKAGE = Path(ccflab.__file__).parent
 LAYER_FILES = sorted(p for p in PACKAGE.glob("*.py") if p.name not in ("norms.py", "__init__.py"))
@@ -99,9 +99,9 @@ def test_witness_solve_checks_each_input_once(array_checks):
     s = 1.0 / (1.0 + 2.0**0.5)
     points = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [s, s, s]]
     counts, iterations = [], []
-    for opts in (SolverOptions(), SolverOptions(max_iters=20)):
+    for max_iters in (None, 20):
         array_checks.clear()
-        res = chebyshev_center(PointSet(pnorm(3, 3), points), opts, extra_starts=[points[3]])
+        res = chebyshev_center(PointSet(pnorm(3, 3), points), max_iters, extra_starts=[points[3]])
         counts.append(len(array_checks))
         iterations.append(res.iterations)
     assert iterations[0] > 100 and iterations[1] == 20

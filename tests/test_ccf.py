@@ -8,7 +8,6 @@ from ccflab import (
     PointSet,
     RtzEstimate,
     ScanResult,
-    SolverOptions,
     TwoBallReport,
     TwoBallSet,
     WitnessVerdict,
@@ -74,8 +73,7 @@ class TestVerifyWitness:
 
     def test_indeterminate_on_solver_non_convergence(self):
         A = PointSet(pnorm(2, 1), [[1.0, 0.0], [0.0, 1.0], [0.3, -0.4]])
-        opts = SolverOptions(max_iters=2)
-        verdict = verify_ccf_witness(CcfWitness(A, 0, [0.0, 0.0]), opts)
+        verdict = verify_ccf_witness(CcfWitness(A, 0, [0.0, 0.0]), max_iters=2)
         assert verdict.status == INDETERMINATE
 
     def test_trivial_set_rejected(self):
@@ -358,6 +356,18 @@ class TestCcnfScan:
         with pytest.raises(ValueError, match=f"'{key}' must be at least 1"):
             ccnf_scan(pnorm(2, 2), z_count, [0.5], samples)
 
+    @pytest.mark.parametrize("dim, max_iters, message", [
+        (2, 0, "max_iters must be at least 1"),
+        (65, None, "dimension 65 exceeds solver cap"),
+    ], ids=["max-iters", "dimension"])
+    def test_unsolvable_scan_rejected_before_sampling(self, monkeypatch, dim, max_iters, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled before the solver's checks")
+
+        monkeypatch.setattr("ccflab.ccf.sample_unit_vectors", unreachable)
+        with pytest.raises(ValueError, match=message):
+            ccnf_scan(pnorm(dim, 2), 1, [0.5], 100, max_iters=max_iters)
+
     def test_one_sampler_call_per_cell(self, monkeypatch):
         # perfbench's sampling counters wrap this name: one call, the cell's proposals.
         calls = []
@@ -428,7 +438,6 @@ class TestFalsificationHarnessSmall:
     def test_p15_center_never_farthest(self):
         # strictly convex planar space: the computed center never beats the set
         norm = pnorm(2, 1.5)
-        opts = SolverOptions(max_iters=500)
         rng = rng_stream(0, "falsification-small")
         for _ in range(50):
             while True:
@@ -439,7 +448,7 @@ class TestFalsificationHarnessSmall:
                 if d.min() >= 0.25:
                     break
             A = PointSet(norm, pts)
-            c = chebyshev_center(A, opts).center
+            c = chebyshev_center(A, max_iters=500).center
             vps = rng.uniform(-2.0, 3.0, size=(50, 2))
             dmax = np.max(
                 np.stack([np.atleast_1d(eval_norm(norm, vps - p)) for p in pts]), axis=0

@@ -16,7 +16,6 @@ from ccflab import CenterResult, ExampleReport, FarthestQuery, WitnessVerdict, n
 from ccflab import cli
 from ccflab.ccf import ccnf_scan
 from ccflab.cli import main, reproduce_all
-from ccflab.solver import SolverOptions
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py, which builds the benchmark's CLI requests)
@@ -424,6 +423,13 @@ class TestFlags:
         ["cap-check", "--input", json.dumps(CAP_INPUT), "--tol", "solver=1e-3"],
         ["center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver"],
         ["center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver=tight"],
+        # The solver takes no tolerance: --tol solver= is gone from every command.
+        ["center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver=1e-3"],
+        ["center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver=inf"],
+        ["center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver=-inf"],
+        ["ccf-verify", "--input", json.dumps(L1_WITNESS), "--tol", "solver=1e-3"],
+        ["scan", "--input", json.dumps(SCAN_INPUT), "--tol", "solver=1e-3"],
+        ["reproduce", "all", "--tol", "solver=1e-3"],
         # Each reproduce target takes only its own flags.
         ["reproduce", "sp-grid", "--p", "4"],
         ["reproduce", "sp-grid", "--max-iters", "5"],
@@ -444,8 +450,6 @@ class TestFlags:
         assert json.loads(out)["tolerance"] == 0.5
 
     @pytest.mark.parametrize("argv", [
-        ["center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver=inf"],
-        ["center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver=-inf"],
         ["cap-check", "--input", json.dumps(CAP_INPUT), "--tol", "cap=nan"],
     ], ids=_argv_id)
     def test_non_finite_tol_exits_two(self, capsys, argv):
@@ -453,11 +457,6 @@ class TestFlags:
             main(argv)
         assert exc.value.code == 2
         assert "not a finite number" in capsys.readouterr().err
-
-    def test_solver_tol_reaches_solver(self, capsys):
-        code, _, err = run(capsys, "center", "--input", json.dumps(EUCLID_PAIR), "--tol", "solver=-1")
-        assert code == 2
-        assert "tol must be positive" in err
 
 
 # The Euclidean plane has no CCF set, so this witness is refuted; infinite
@@ -650,10 +649,10 @@ class TestReproduceCommand:
         assert message in err
 
 
-def light_scan(norm, z_count, t_grid, samples, *, seed, opts):
+def light_scan(norm, z_count, t_grid, samples, *, seed, max_iters):
     """``ccnf_scan`` below the reference density of ``reproduce all``: 6
     directions, t in (0.5, 0.8) and 2500 proposals per cell."""
-    return ccnf_scan(norm, 6, (0.5, 0.8), 2500, seed=seed, opts=opts)
+    return ccnf_scan(norm, 6, (0.5, 0.8), 2500, seed=seed, max_iters=max_iters)
 
 
 class TestReproduceAll:
@@ -700,7 +699,7 @@ class TestReproduceAll:
             assert data["overall"] is True
             assert ExampleReport.from_dict(data) == report
 
-    def test_solver_options_reach_every_solve(self, monkeypatch):
+    def test_max_iters_reaches_every_solve(self, monkeypatch):
         scans, densities = [], []
 
         def recording_scan(*args, **kwargs):
@@ -709,7 +708,7 @@ class TestReproduceAll:
             return scans[-1]
 
         monkeypatch.setattr(cli, "ccnf_scan", recording_scan)
-        reports, _, _ = reproduce_all(opts=SolverOptions(max_iters=1))
+        reports, _, _ = reproduce_all(max_iters=1)
         assert not all(r.overall for r in reports)
         # the reference scans, which light_scan thins out
         assert densities == [(12, (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0), 20000)] * 3
@@ -724,9 +723,9 @@ class TestReproduceAll:
             return [], [], ""
 
         monkeypatch.setattr(cli, "reproduce_all", fake_reproduce_all)
-        code, _, _ = run(capsys, "reproduce", "all", "--max-iters", "1", "--tol", "solver=1e-3")
+        code, _, _ = run(capsys, "reproduce", "all", "--max-iters", "1")
         assert code == 0
-        assert seen["opts"] == SolverOptions(max_iters=1, tol=1e-3)
+        assert seen["max_iters"] == 1
 
 
 class TestImportFootprint:

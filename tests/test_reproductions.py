@@ -160,6 +160,23 @@ class TestEmbedding:
             embed_lp3(norm, (0, 1, 2))
 
 
+class TestDimensionCap:
+    @pytest.mark.parametrize("example, stage", [
+        (example_finite_dim, "symmetric_line_minimize"),
+        (example_c0_truncated, "diameter"),
+        (lambda n: embed_lp3(weighted_pnorm(3.0, [1.0] * n), (0, 1, 2)), "rng_stream"),
+    ], ids=["finite-dim", "c0", "embedding"])
+    def test_dimension_above_the_solver_cap_rejected_at_entry(self, monkeypatch, example, stage):
+        # The set and the checks before the solve grow with the dimension;
+        # the solver's cap rejects it before any of them run.
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{stage} ran before the cap check")
+
+        monkeypatch.setattr(f"ccflab.reproductions.{stage}", unreachable)
+        with pytest.raises(ValueError, match="dimension 65 exceeds solver cap"):
+            example(65)
+
+
 class TestReportPlumbing:
     def test_overall_is_conjunction(self):
         report = example_finite_dim(3)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from ccflab import (
     CenterResult,
     PointSet,
-    SolverOptions,
     brute_force_center,
     chebyshev_center,
     chebyshev_radius,
@@ -20,7 +19,7 @@ from ccflab import (
 )
 from ccflab.norms import _COLUMN_ROWS, linf_lower_constant
 from ccflab.sampling import rng_stream
-from ccflab.solver import _bounds, _centroid, _farthest_first
+from ccflab.solver import _CONVERGED_RTOL, _bounds, _centroid, _farthest_first
 
 
 def sp_formula(p):
@@ -81,7 +80,7 @@ class TestChebyshevCenter:
 
     def test_non_convergence_flagged(self):
         A = PointSet(pnorm(2, 1), [[1.0, 0.0], [0.0, 1.0], [0.3, -0.4]])
-        res = chebyshev_center(A, SolverOptions(max_iters=2))
+        res = chebyshev_center(A, max_iters=2)
         assert not res.converged
         assert "not_converged" in res.flags
 
@@ -92,11 +91,18 @@ class TestChebyshevCenter:
     @pytest.mark.parametrize("max_iters", [0, -5])
     def test_nonpositive_max_iters_rejected(self, max_iters):
         with pytest.raises(ValueError, match="max_iters must be at least 1"):
-            SolverOptions(max_iters=max_iters)
+            chebyshev_center(unit_vectors_set(2.0), max_iters)
 
-    def test_nonpositive_tol_rejected(self):
-        with pytest.raises(ValueError, match="tol"):
-            SolverOptions(tol=0.0)
+    @pytest.mark.parametrize(
+        "points, start",
+        [([[0.0], [1.0]], [np.nan, 5.0, 6.0]), ([[1.0, 1.0], [1.0, 1.0]], ["x"])],
+        ids=["1d", "coincident"],
+    )
+    def test_extra_starts_checked_on_the_exact_path(self, points, start):
+        # The midpoint path ignores the starts, but a bad one is still an input error.
+        A = PointSet(pnorm(len(points[0]), 2), points)
+        with pytest.raises(ValueError):
+            chebyshev_center(A, extra_starts=[start])
 
     def test_result_json_round_trip(self):
         res = chebyshev_center(unit_vectors_set(3.0))
@@ -185,12 +191,11 @@ def _polyhedral_radius(A):
 class TestCertificate:
     @pytest.mark.parametrize("A", _certificate_corpus(), ids=lambda A: f"{A.dim}d-{len(A)}pts")
     def test_gap_certifies_radius(self, A):
-        tol = SolverOptions().tol
         res = chebyshev_center(A)
         assert res.radius == outer_radius(A, res.center)
         assert res.gap >= 0.0
         assert res.converged
-        assert res.gap <= tol * max(1.0, res.radius)
+        assert res.gap <= _CONVERGED_RTOL * max(1.0, res.radius)
         lower = res.radius - res.gap
         if A.dim <= 3:
             # every center lies within r / a of each point in every coordinate
@@ -232,6 +237,21 @@ class TestFloatRange:
         assert res.iterations == 0
         assert res.flags == ("not_converged",)
         assert (res.radius, res.gap) == (1e308, 1e308)
+
+    @pytest.mark.parametrize(
+        "points, direction",
+        [
+            ([[0.0, 0.0], [1.0, 0.0]], [1e300, 1e300]),
+            ([[0.0, 0.0], [1.0, 0.0]], [1e-320, 0.0]),
+            ([[0.0, 0.0], [1e200, 0.0]], [1.0, 1.0]),
+        ],
+        ids=["direction-overflow", "direction-underflow", "points-overflow"],
+    )
+    def test_line_search_beyond_float_range_raises(self, points, direction):
+        # The direction's norm is inf or 0, or the start bracket is inf: the
+        # bisection would return a wrong minimizer, divide by 0, or give NaN.
+        with np.errstate(over="ignore", under="ignore"), pytest.raises(ValueError, match="left the float range"):
+            symmetric_line_minimize(PointSet(pnorm(2, 2), points), direction)
 
 
 class TestPythagoreanRadiusBound:
