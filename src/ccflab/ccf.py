@@ -277,7 +277,8 @@ def check_two_ball_properties(
     max_iters: int | None = None,
 ) -> TwoBallReport:
     """Exercise the two-ball body's containment and radius properties, each
-    up to DEFAULT_ACHIEVER_TOL."""
+    up to DEFAULT_ACHIEVER_TOL, checking the solver's limits before sampling."""
+    _check_solvable(A.dim, max_iters)
     tol = DEFAULT_ACHIEVER_TOL
     d_c = A.norm.family.dist(A.points - U.c)
     d_y = A.norm.family.dist(A.points - U.y)
@@ -347,14 +348,15 @@ def estimate_r_tz(
     even for thin intersections.  ``z`` must lie on the unit sphere
     (tolerance 1e-9); ``samples`` (at least 1) counts proposals; acceptance
     below 1e-3 is flagged as ``thin_intersection``.  ``max_iters`` goes to
-    the solver as given; a solve that does not converge is flagged
-    ``solver_not_converged``.
+    the solver as given, checked with the dimension before sampling; a solve
+    that does not converge is flagged ``solver_not_converged``.
     """
     az = _on_unit_sphere(norm, z, "z")
     if not (0.0 < t <= 1.0):
         raise ValueError(f"t must lie in (0, 1], got {t}")
     if samples < 1:
         raise ValueError(f"'samples' must be at least 1, got {samples}")
+    _check_solvable(norm.dim, max_iters)
 
     cell = TwoBallSet(c=az, r=t, y=np.zeros(norm.dim), R=1.0, norm=norm, sampler_seed=seed)
     pts, accepted, proposed = cell.sample(samples)

@@ -9,11 +9,15 @@ x; the subgradient inequality then bounds r(W) <= r(A) from below by
 F_W(x) - max_{y in E} g.(x - y).  A round stops once the best radius is
 within 1e-12 * max(1, radius) of the best such bound, or when its budget runs
 out.  The points of A that the round's center misses then join W (a
-Badoiu-Clarkson core set), and rounds repeat until none remain.  So the
-iterations see only the few active points, and the whole sample is read
-once per start and per round, column by column when it is long and narrow.
-The gap between the radius and the bound is the certificate reported as
-``CenterResult.gap``.
+Badoiu-Clarkson core set), and rounds repeat until none remain.  While W
+lacks some points, a round is screened first, as core-set schemes solve
+their subproblems only roughly (Kumar, Mitchell & Yildirim, 2003): once its
+gap is within 1e-3 * max(1, radius), a center that misses points ends the
+round, and one that misses none lets the same ellipsoid go on to the stop.
+So the iterations see only the few active points, and the whole sample is
+read once per start and once or twice per round, column by column when it
+is long and narrow.  The gap between the radius and the bound is the
+certificate reported as ``CenterResult.gap``.
 
 The ellipsoid is kept in factored form, P = L L^T, so it stays positive
 definite however thin it gets.  In one dimension every norm is a multiple
@@ -45,6 +49,8 @@ __all__ = [
 
 # A round stops once its certified gap is below this share of max(1, radius).
 _ROUND_RTOL = 1e-12
+# A round whose working set lacks some points is screened at this share.
+_SCREEN_RTOL = 1e-3
 # Points farthest from the start that make up the first working set, and the
 # most violators that join it per round, per dimension plus one.
 _CORE_PER_DIM = 4
@@ -128,13 +134,17 @@ def _centroid(pts: np.ndarray) -> np.ndarray:
     return np.add.accumulate(pts)[-1] / len(pts)
 
 
-def _ellipsoid_round(A: PointSet, W: np.ndarray, x0: np.ndarray, max_iters: int):
+def _ellipsoid_round(A: PointSet, W: np.ndarray, x0: np.ndarray, max_iters: int, screen: bool):
     """Deep-cut ellipsoid method on F_W(x) = max_{a in W} ||x - a||.
 
     Starts from the Euclidean ball of radius 2 F_W(x0) sqrt(n) / a around x0
     (a = linf_lower_constant), which holds every Chebyshev center c of W:
-    ||c - x0|| <= r(W) + F_W(x0).  Returns the best point, its value, the best
-    certified lower bound on r(W) and the iterations (-inf and 0 on overflow).
+    ||c - x0|| <= r(W) + F_W(x0).  At its stop the round yields the best
+    point, its value, the best certified lower bound on r(W), the iterations
+    (-inf and 0 on overflow) and True.  With ``screen`` it first yields the
+    same with False, once the gap falls within _SCREEN_RTOL * max(1, value);
+    resumed, it goes on with the same ellipsoid and the same ``max_iters``
+    budget, so it runs exactly the iterations of an unscreened round.
     """
     n = A.dim
     dist, subgrad = A.norm.family.dist, A.norm.family.subgrad
@@ -142,7 +152,8 @@ def _ellipsoid_round(A: PointSet, W: np.ndarray, x0: np.ndarray, max_iters: int)
     best_x, best_f = x0, float(dist(W - x0).max())
     r0 = 2.0 * best_f * math.sqrt(n) / linf_lower_constant(A.norm)
     if not math.isfinite(r0):
-        return x0, best_f, -math.inf, 0
+        yield x0, best_f, -math.inf, 0, True
+        return
     L = np.eye(n) * r0
     lower = -math.inf
     k = 0
@@ -159,6 +170,9 @@ def _ellipsoid_round(A: PointSet, W: np.ndarray, x0: np.ndarray, max_iters: int)
         lower = max(lower, f - width)
         if best_f - lower <= _ROUND_RTOL * max(1.0, best_f):
             break
+        if screen and best_f - lower <= _SCREEN_RTOL * max(1.0, best_f):
+            screen = False
+            yield best_x, best_f, lower, k, False
         # Deep cut: every center y has g.(y - x) <= best_f - f = -alpha * width.
         alpha = (f - best_f) / width
         u = Lg / width
@@ -167,7 +181,7 @@ def _ellipsoid_round(A: PointSet, W: np.ndarray, x0: np.ndarray, max_iters: int)
         sigma = 2.0 * (1.0 + n * alpha) / ((n + 1.0) * (1.0 + alpha))
         scale = math.sqrt(n * n * (1.0 - alpha * alpha) / (n * n - 1.0))
         L = scale * (L - (1.0 - math.sqrt(1.0 - sigma)) * (Lu[:, None] * u))
-    return best_x, best_f, lower, k
+    yield best_x, best_f, lower, k, True
 
 
 def chebyshev_center(A: PointSet, max_iters: int | None = None, *, extra_starts=None) -> CenterResult:
@@ -179,8 +193,8 @@ def chebyshev_center(A: PointSet, max_iters: int | None = None, *, extra_starts=
     deterministic for a given input.
 
     ``max_iters`` (at least 1) bounds the ellipsoid iterations of each
-    working-set round; None picks 1000 + 50 n^2 in dimension n, since the
-    iterations a round needs grow as n^2.
+    working-set round, its screen included; None picks 1000 + 50 n^2 in
+    dimension n, since the iterations a round needs grow as n^2.
 
     Non-convergence within the iteration budget is reported via the
     ``not_converged`` flag on the result, never by raising.  A start radius
@@ -214,16 +228,21 @@ def chebyshev_center(A: PointSet, max_iters: int | None = None, *, extra_starts=
     lower = 0.0
     iterations = 0
     while True:
-        x, f_w, lb, its = _ellipsoid_round(A, pts[W], best_x, budget)
+        # A screened center that misses points ends the round.  Only polished
+        # centers compete for the result and start the next round, so a solve
+        # of one round gives the bits of an unscreened one.
+        for x, f_w, lb, its, polished in _ellipsoid_round(A, pts[W], best_x, budget, screen=len(W) < len(pts)):
+            if np.isfinite(lb):  # a distance that overflowed to inf bounds nothing
+                lower = max(lower, lb)
+            d = A.norm.family.dist(_rowwise(np.subtract, pts, x))
+            if polished and float(np.max(d)) < best_r:
+                best_x, best_d, best_r = x, d, float(np.max(d))
+            outside = d > f_w
+            outside[W] = False
+            violators = np.flatnonzero(outside)
+            if violators.size:
+                break
         iterations += its
-        if np.isfinite(lb):  # a distance that overflowed to inf bounds nothing
-            lower = max(lower, lb)
-        d = A.norm.family.dist(_rowwise(np.subtract, pts, x))
-        if float(np.max(d)) < best_r:
-            best_x, best_d, best_r = x, d, float(np.max(d))
-        outside = d > f_w
-        outside[W] = False
-        violators = np.flatnonzero(outside)
         if not violators.size:
             break
         W = np.concatenate([W, violators[_farthest_first(d[violators], core)]])

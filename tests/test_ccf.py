@@ -161,6 +161,22 @@ class TestTwoBallSet:
         assert TwoBallSet.from_dict(json.loads(json.dumps(U.to_dict()))) == U
         assert TwoBallReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
 
+    @pytest.mark.parametrize("dim, max_iters, message", [
+        (2, 0, "max_iters must be at least 1"),
+        (65, None, "dimension 65 exceeds solver cap"),
+    ], ids=["max-iters", "dimension"])
+    def test_unsolvable_properties_rejected_before_sampling(self, monkeypatch, dim, max_iters, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled before the solver's checks")
+
+        monkeypatch.setattr(TwoBallSet, "sample", unreachable)
+        norm = pnorm(dim, 2)
+        e1 = np.eye(dim)[0]
+        U = TwoBallSet(c=e1, r=1.0, y=np.zeros(dim), R=1.0, norm=norm)
+        A = PointSet(norm, [2.0 * e1, np.zeros(dim)])
+        with pytest.raises(ValueError, match=message):
+            check_two_ball_properties(U, A, 100, max_iters=max_iters)
+
     def test_degenerate_singleton(self):
         A = PointSet(pnorm(2, 2), [[0.3, 0.3]])
         U = TwoBallSet(c=np.array([0.3, 0.3]), r=0.0, y=np.array([1.0, 1.0]),
@@ -298,6 +314,19 @@ class TestEstimateRtz:
         assert est.sample_count < 1e-3 * est.proposals
         assert est.flags == ("thin_intersection",)
         assert estimate_r_tz(pnorm(2, 2), [0.0, 1.0], 0.5, 2000).flags == ()
+
+    @pytest.mark.parametrize("dim, max_iters, message", [
+        (2, 0, "max_iters must be at least 1"),
+        (65, None, "dimension 65 exceeds solver cap"),
+    ], ids=["max-iters", "dimension"])
+    def test_unsolvable_cell_rejected_before_sampling(self, monkeypatch, dim, max_iters, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled before the solver's checks")
+
+        monkeypatch.setattr(TwoBallSet, "sample", unreachable)
+        z = np.eye(dim)[0]
+        with pytest.raises(ValueError, match=message):
+            estimate_r_tz(pnorm(dim, 2), z, 0.5, 100, max_iters=max_iters)
 
     def test_round_trip(self):
         est = estimate_r_tz(pnorm(2, 2), [1.0, 0.0], 0.5, 500, seed=0)

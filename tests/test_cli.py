@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -588,7 +589,31 @@ BENCHMARK_SPANS = (
 )
 
 
+# Exit code and SHA-256 of stdout and stderr of every request of the
+# benchmark's seed-1 witness pass, in order, as the code before the solver
+# screened its working-set rounds wrote them.  A change that claims the
+# witness outputs byte-identical keeps this file as it is.
+WITNESS_DIGESTS = json.loads((Path(__file__).with_name("golden") / "witness_requests_seed1.json").read_text())
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestBenchmarkContract:
+    def test_witness_digests_cover_every_request(self):
+        assert [row["label"] for row in WITNESS_DIGESTS] == [req["label"] for req in workloads.witness_requests(1)]
+
+    @pytest.mark.parametrize("index", range(len(WITNESS_DIGESTS)), ids=[row["label"] for row in WITNESS_DIGESTS])
+    def test_witness_request_bytes(self, capsys, index):
+        code, out, err = run(capsys, *workloads.witness_requests(1)[index]["argv"])
+        assert WITNESS_DIGESTS[index] == {
+            "label": WITNESS_DIGESTS[index]["label"],
+            "exit": code,
+            "stdout_sha256": _sha256(out),
+            "stderr_sha256": _sha256(err),
+        }
+
     @pytest.mark.parametrize("span", BENCHMARK_SPANS)
     def test_traced_span_is_a_public_function(self, span):
         layer, name = span.split(".")

@@ -17,9 +17,10 @@ from ccflab import (
     symmetric_line_minimize,
     weighted_pnorm,
 )
+from ccflab import solver
 from ccflab.norms import _COLUMN_ROWS, linf_lower_constant
 from ccflab.sampling import rng_stream
-from ccflab.solver import _CONVERGED_RTOL, _bounds, _centroid, _farthest_first
+from ccflab.solver import _CONVERGED_RTOL, _CORE_PER_DIM, _ROUND_RTOL, _bounds, _centroid, _farthest_first
 
 
 def sp_formula(p):
@@ -205,6 +206,98 @@ class TestCertificate:
         exact = _polyhedral_radius(A)
         if exact is not None:
             assert lower <= exact + 1e-12 * max(1.0, exact)
+
+
+def _round_corpus():
+    """Seeded sets of every family in dims 2-3, of 40-400 points near the
+    unit sphere: more than the first working set holds, and many of them
+    nearly farthest, so solves take several rounds."""
+    rng = rng_stream(23, "rounds")
+    out = []
+    for dim in (2, 3):
+        for spec in (
+            pnorm(dim, 1),
+            pnorm(dim, 1.5),
+            pnorm(dim, 2),
+            pnorm(dim, 3),
+            pnorm(dim, float("inf")),
+            sum_composite(dim, [(1.0, pnorm(dim, 1)), (0.5, pnorm(dim, 2))]),
+            sup_plus_weighted_l2(rng.uniform(0.25, 4.0, size=dim)),
+            weighted_pnorm(3.0, rng.uniform(0.25, 4.0, size=dim)),
+        ):
+            m = int(rng.integers(40, 401))
+            pts = rng.normal(size=(m, dim))
+            pts *= rng.uniform(0.9, 1.0, size=(m, 1)) / spec.family.dist(pts)[:, None]
+            out.append(PointSet(spec, pts))
+    return out
+
+
+def _round_id(A):
+    family = A.norm.family
+    return f"{A.dim}d-{len(A)}pts-{type(family).__name__}{getattr(family, 'p', '')}"
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """Per working-set round of the solves that follow, the (iterations so
+    far, stopped) of each point the round yields."""
+    log = []
+    inner = solver._ellipsoid_round
+
+    def recording(*args, **kwargs):
+        log.append([])
+        for out in inner(*args, **kwargs):
+            log[-1].append((out[3], out[4]))
+            yield out
+
+    monkeypatch.setattr(solver, "_ellipsoid_round", recording)
+    return log
+
+
+class TestWorkingSetRounds:
+    """A round is screened at a gap of 1e-3 while its working set lacks some
+    points; only a stopped round whose center misses no point ends a solve."""
+
+    @pytest.mark.parametrize("A", _round_corpus(), ids=_round_id)
+    def test_screened_solve_keeps_the_certificate(self, A, rounds):
+        res = chebyshev_center(A)
+        assert len(A) > _CORE_PER_DIM * (A.dim + 1)
+        assert res.gap <= _ROUND_RTOL * max(1.0, res.radius)
+        assert res.iterations == sum(log[-1][0] for log in rounds)
+        assert rounds[-1][-1][1]  # the last round ran to its stop
+        pad = 1.25 * res.radius / linf_lower_constant(A.norm)
+        oracle = brute_force_center(A, (A.points.max(axis=0) - pad, A.points.min(axis=0) + pad))
+        assert oracle.radius - oracle.gap <= res.radius <= oracle.radius + res.gap
+
+    def test_corpus_ends_rounds_at_their_screen(self, rounds):
+        for A in _round_corpus()[:3]:
+            chebyshev_center(A)
+        assert any(not log[-1][1] for log in rounds)
+
+    def test_screen_and_stop_share_one_budget(self, rounds):
+        # Three far vertices and a cluster near their center: the screened
+        # first round misses no point and goes on to its stop.
+        rng = rng_stream(5, "one-round")
+        triangle = [[1.0, 0.0], [-0.5, 0.8660254037844386], [-0.5, -0.8660254037844386]]
+        A = PointSet(pnorm(2, 2), np.vstack([triangle, rng.uniform(-0.2, 0.2, size=(40, 2))]))
+        full = chebyshev_center(A)
+        (screen, _), (stop, stopped) = rounds[0]
+        assert len(rounds) == 1 and stopped and screen < stop == full.iterations
+        budget = (screen + stop) // 2
+        rounds.clear()
+        cut = chebyshev_center(A, budget)
+        assert rounds == [[(screen, False), (budget, True)]]
+        assert cut.iterations == budget
+
+    @pytest.mark.parametrize(
+        "A",
+        [unit_vectors_set(3.0), basis_with_origin(3), PointSet(pnorm(2, 1), np.eye(2))],
+        ids=["lp3-unit-vectors", "basis-with-origin", "l1-pair"],
+    )
+    def test_set_within_the_first_working_set_is_never_screened(self, A, rounds):
+        res = chebyshev_center(A)
+        assert [log[-1] for log in rounds] == [(res.iterations, True)]
+        assert len(rounds[0]) == 1
 
 
 class TestFloatRange:
