@@ -288,7 +288,7 @@ def check_two_ball_properties(
     sample_set = PointSet(A.norm, pts)
     solved = chebyshev_center(sample_set, max_iters, extra_starts=[U.c])
     r_c_sample = outer_radius(sample_set, U.c)
-    max_to_y = float(np.max(A.norm.family.dist(pts - U.y)))
+    max_to_y = float(np.max(A.norm.family.dist(sample_set.points - U.y)))
     return TwoBallReport(
         containment_ok=containment,
         sample_radius_ok=bool(solved.radius <= U.r + tol),

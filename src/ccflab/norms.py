@@ -98,53 +98,26 @@ def _zero_at_origin(kernel):
     return subgrad
 
 
-# Rows from which a batch goes column by column.  numpy's one call costs less
-# below about 16 rows at n = 2 and 128-192 rows at n = 5-7 (numpy 2.4, one
-# Xeon vCPU); the solver's working sets of 3-19 rows stay on it.
-_COLUMN_ROWS = 256
-
-
-def _by_columns(y: np.ndarray) -> bool:
-    # numpy adds fewer than 8 terms left to right, as the columns are added;
-    # from 8 on it sums pairwise, in an order the columns do not repeat.
-    return 2 <= y.shape[-1] <= 7 and y.size >= _COLUMN_ROWS * y.shape[-1]
-
-
-def _row_reduce(ufunc, y: np.ndarray):
-    """ufunc.reduce(y, axis=-1), bit for bit: numpy pays a fixed cost per
-    row over a short last axis, which a pass per column does not."""
-    if y.size < 2 * _COLUMN_ROWS or not _by_columns(y):  # the solver's small sets skip a call
-        return ufunc.reduce(y, axis=-1)
-    out = ufunc(y[..., 0], y[..., 1])
-    for j in range(2, y.shape[-1]):
-        ufunc(out, y[..., j], out=out)
-    return out
-
-
-def _rowwise(ufunc, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """ufunc(y, v) for a vector v, against every row of y, by the same rule:
-    numpy pays per row there too, and each entry is the same operation."""
-    if not _by_columns(y):
-        return ufunc(y, v)
-    out = np.empty(y.shape)
-    for j in range(y.shape[-1]):
-        ufunc(y[..., j], v[j], out=out[..., j])
-    return out
+def _column_major(a: np.ndarray) -> np.ndarray:
+    """A copy of the batch ``a``, column-major below 8 columns: numpy then
+    reduces and broadcasts a long narrow batch at column speed, and adds each
+    row left to right, as it does row-major.  From 8 contiguous terms numpy
+    sums pairwise, which a column-major batch would not: it sums in order."""
+    return np.array(a, order="F" if a.shape[-1] < 8 else "C")
 
 
 # The norm kernels do numpy's float operations for np.linalg.norm, in the
-# same order, so every result stays the same to the last bit.  They reduce
-# rows only through _row_reduce.
+# same order, so every result stays the same to the last bit.
 def _l1_norm(x: np.ndarray):
-    return _row_reduce(np.add, np.abs(x))
+    return np.add.reduce(np.abs(x), axis=-1)
 
 
 def _l2_norm(x: np.ndarray):
-    return np.sqrt(_row_reduce(np.add, x * x))
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def _sup_norm(x: np.ndarray):
-    return _row_reduce(np.maximum, np.abs(x))
+    return np.maximum.reduce(np.abs(x), axis=-1)
 
 
 def _sgn_vertex(v: np.ndarray) -> np.ndarray:
@@ -187,7 +160,7 @@ class PNorm:
         return PNorm, (self.p,)
 
     def _lp_norm(self, x: np.ndarray):
-        return _row_reduce(np.add, np.abs(x) ** self.p) ** (1.0 / self.p)
+        return np.add.reduce(np.abs(x) ** self.p, axis=-1) ** (1.0 / self.p)
 
     def _lp_subgradient(self, v: np.ndarray) -> np.ndarray:
         # Normalize first so |v|^(p-1) cannot overflow for large p.
@@ -229,7 +202,7 @@ class SupPlusWeightedL2:
         object.__setattr__(self, "_w", np.array(self.weights))
 
     def dist(self, x: np.ndarray):
-        return _sup_norm(x) + np.sqrt(_row_reduce(np.add, self._w * x * x))
+        return _sup_norm(x) + np.sqrt(np.add.reduce(self._w * x * x, axis=-1))
 
     @_zero_at_origin
     def subgrad(self, v: np.ndarray) -> np.ndarray:

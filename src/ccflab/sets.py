@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Record
-from .norms import NormSpec, _as_batch, as_vector
+from .norms import NormSpec, _as_batch, _column_major, as_vector
 
 __all__ = [
     "DEFAULT_ACHIEVER_TOL",
@@ -42,7 +42,7 @@ class PointSet(Record):
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _as_batch(self.points, self.norm.dim, "points", ndim=2).copy()
+        pts = _column_major(_as_batch(self.points, self.norm.dim, "points", ndim=2))
         if not len(pts):
             raise ValueError("points must hold at least one point")
         pts.setflags(write=False)

@@ -15,8 +15,8 @@ their subproblems only roughly (Kumar, Mitchell & Yildirim, 2003): once its
 gap is within 1e-3 * max(1, radius), a center that misses points ends the
 round, and one that misses none lets the same ellipsoid go on to the stop.
 So the iterations see only the few active points, and the whole sample is
-read once per start and once or twice per round, column by column when it
-is long and narrow.  The gap between the radius and the bound is the
+read once per start and once or twice per round, in the layout
+``PointSet`` stores it in.  The gap between the radius and the bound is the
 certificate reported as ``CenterResult.gap``.
 
 The ellipsoid is kept in factored form, P = L L^T, so it stays positive
@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .codec import Record
-from .norms import _by_columns, _rowwise, as_vector, linf_lower_constant
+from .norms import _column_major, as_vector, linf_lower_constant
 from .sets import DEFAULT_ACHIEVER_TOL, PointSet, _achievers
 
 __all__ = [
@@ -118,19 +118,10 @@ def _farthest_first(d: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-d, kind="stable")
 
 
-def _bounds(pts: np.ndarray):
-    """pts.min(axis=0) and pts.max(axis=0); a long narrow batch goes column
-    by column, since numpy pays a fixed cost per row when it reduces axis 0."""
-    if not _by_columns(pts):
-        return pts.min(axis=0), pts.max(axis=0)
-    return np.array([c.min() for c in pts.T]), np.array([c.max() for c in pts.T])
-
-
 def _centroid(pts: np.ndarray) -> np.ndarray:
-    """pts.mean(axis=0), bit for bit: over two or more columns numpy adds
-    the rows one after another, as accumulate does."""
-    if not _by_columns(pts):
-        return pts.mean(axis=0)
+    """The mean of the rows, adding them one after another as numpy's
+    mean(axis=0) does for a row-major batch; on column-major points it
+    would sum each column pairwise and change the start's bits."""
     return np.add.accumulate(pts)[-1] / len(pts)
 
 
@@ -204,14 +195,14 @@ def chebyshev_center(A: PointSet, max_iters: int | None = None, *, extra_starts=
     _check_solvable(A.dim, max_iters)
     extra = [as_vector(s, A.dim, "start") for s in extra_starts or ()]
     pts = A.points
-    lo, hi = _bounds(pts)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
     distinct = not np.array_equal(lo, hi)
     exact = A.dim == 1 or not distinct  # the midpoint of the extreme points is a center
     if exact:
         starts = [(lo + hi) / 2.0]
     else:
         starts = [_centroid(pts)] + extra
-    dists = [A.norm.family.dist(_rowwise(np.subtract, pts, s)) for s in starts]
+    dists = [A.norm.family.dist(pts - s) for s in starts]
     k = int(np.argmin([np.max(d) for d in dists]))
     best_x, best_d = starts[k], dists[k]
     best_r = float(np.max(best_d))
@@ -234,7 +225,7 @@ def chebyshev_center(A: PointSet, max_iters: int | None = None, *, extra_starts=
         for x, f_w, lb, its, polished in _ellipsoid_round(A, pts[W], best_x, budget, screen=len(W) < len(pts)):
             if np.isfinite(lb):  # a distance that overflowed to inf bounds nothing
                 lower = max(lower, lb)
-            d = A.norm.family.dist(_rowwise(np.subtract, pts, x))
+            d = A.norm.family.dist(pts - x)
             if polished and float(np.max(d)) < best_r:
                 best_x, best_d, best_r = x, d, float(np.max(d))
             outside = d > f_w
@@ -306,7 +297,7 @@ def brute_force_center(
     spacing = (hi - lo) / (grid_per_axis - 1)
     for _level in range(refine_levels):
         axes = [np.linspace(lo[d], hi[d], grid_per_axis) for d in range(A.dim)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, A.dim)
+        grid = _column_major(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, A.dim))
         rvals = np.full(len(grid), -np.inf)
         for a in A.points:
             rvals = np.maximum(rvals, A.norm.family.dist(grid - a))
@@ -362,8 +353,9 @@ def symmetric_line_minimize(A: PointSet, direction) -> tuple[float, float]:
     lo, hi = -reach, reach
     while hi - lo > 1e-13 * reach:
         s = (lo + hi) / 2.0
-        diffs = s * d - A.points
-        slope = float(subgrad(diffs[dist(diffs).argmax()]) @ d)
+        # subgrad takes the farthest row afresh: a row of column-major points is strided.
+        i = dist(s * d - A.points).argmax()
+        slope = float(subgrad(s * d - A.points[i]) @ d)
         if slope == 0.0:
             lo = hi = s
         elif slope > 0.0:

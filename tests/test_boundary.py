@@ -7,9 +7,10 @@ unchecked kernels ``family.dist`` / ``family.subgrad`` on arrays that
 function's ``as_vector`` already checked, so the array rule (``_as_batch``)
 runs a fixed number of times per call, whatever the iteration count.
 
-Rows are reduced in one place as well: the norm kernels sum or maximize over
-the last axis only through ``_row_reduce``, which decides when a batch goes
-column by column.
+Memory layout is decided in one place as well: only ``_column_major``,
+which ``PointSet``, the sampler and the grid oracle store their batches
+through, names a memory order.  The rows handed to ``family.subgrad`` stay
+contiguous, since a strided dot product rounds differently.
 
 Files are read and written at one boundary too: only ``codec`` (the one
 writer) and ``cli`` (which reads ``--input`` and writes every artifact) do
@@ -17,13 +18,16 @@ file I/O.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ccflab
-from ccflab import PointSet, chebyshev_center, estimate_r_tz, pnorm
+from ccflab import PointSet, chebyshev_center, estimate_r_tz, pnorm, sum_composite, symmetric_line_minimize
+from ccflab import norms
+from ccflab.cli import main
 
 PACKAGE = Path(ccflab.__file__).parent
 LAYER_FILES = sorted(p for p in PACKAGE.glob("*.py") if p.name not in ("norms.py", "__init__.py"))
@@ -59,18 +63,21 @@ def test_layers_name_no_checked_evaluator(path):
     assert not _names(path) & CHECKED_EVALUATORS
 
 
-def _last_axis_reductions(node) -> int:
-    """The ``axis=-1`` arguments under ``node``."""
+def _memory_orders(node) -> int:
+    """The ``order=`` arguments and ``asfortranarray`` names under ``node``."""
     return sum(
-        isinstance(k, ast.keyword) and k.arg == "axis" and ast.unparse(k.value) == "-1" for k in ast.walk(node)
+        (isinstance(n, ast.keyword) and n.arg == "order")
+        or (isinstance(n, ast.Attribute) and n.attr == "asfortranarray")
+        or (isinstance(n, ast.Name) and n.id == "asfortranarray")
+        for n in ast.walk(node)
     )
 
 
-def test_norm_kernels_reduce_rows_through_one_helper():
-    # Which rows go column by column is decided in _row_reduce alone.
-    tree = ast.parse((PACKAGE / "norms.py").read_text())
-    (helper,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_row_reduce"]
-    assert _last_axis_reductions(tree) == _last_axis_reductions(helper) == 1
+def test_only_column_major_names_a_memory_order():
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    norms = ast.parse((PACKAGE / "norms.py").read_text())
+    (helper,) = [f for f in norms.body if isinstance(f, ast.FunctionDef) and f.name == "_column_major"]
+    assert sum(_memory_orders(tree) for tree in trees) == _memory_orders(helper) == 1
 
 
 @pytest.mark.parametrize("path", IO_FREE_FILES, ids=lambda p: p.name)
@@ -118,3 +125,53 @@ def test_scan_cell_checks_each_input_once(array_checks):
     # z on the unit sphere; c and y in TwoBallSet and again in the public
     # sampler; the sample's PointSet; z as the solver's extra start.
     assert counts == [7, 7]
+
+
+@pytest.fixture
+def subgrad_args(monkeypatch):
+    """The vector ``v`` of every ``family.subgrad(v)`` call, on the norms
+    built while the fixture is active."""
+    seen = []
+
+    def recording(kernel):
+        def subgrad(*args):
+            seen.append(args[-1])
+            return kernel(*args)
+
+        return subgrad
+
+    for family in (norms.SumComposite, norms.SupPlusWeightedL2, norms.WeightedPNorm):
+        monkeypatch.setattr(family, "subgrad", recording(family.subgrad))
+    post_init = norms.PNorm.__post_init__
+
+    def recording_post_init(self):
+        post_init(self)
+        object.__setattr__(self, "subgrad", recording(self.subgrad))
+
+    monkeypatch.setattr(norms.PNorm, "__post_init__", recording_post_init)
+    return seen
+
+
+def _scan_cell():
+    estimate_r_tz(pnorm(2, 3), np.array([1.0, 0.0]), 0.5, 20000)
+
+
+def _ccf_verify():
+    points = np.vstack([np.eye(5), -np.eye(5)[:2], np.full((1, 5), 0.3)]).tolist()
+    witness = {"set": {"norm": {"dim": 5, "family": {"pnorm": 2}}, "points": points},
+               "center_index": 7, "viewpoint": [0.0] * 5}
+    assert main(["ccf-verify", "--input", json.dumps(witness)]) in (0, 1)
+
+
+def _symmetric_line():
+    for n in (4, 5):
+        norm = sum_composite(n, [(1.0, pnorm(n, 1)), (0.5, pnorm(n, 2))])
+        symmetric_line_minimize(PointSet(norm, np.eye(n)), np.ones(n))
+
+
+@pytest.mark.parametrize("run", [_scan_cell, _ccf_verify, _symmetric_line], ids=lambda f: f.__name__[1:])
+def test_subgradients_take_contiguous_rows(subgrad_args, capsys, run):
+    # A row of a column-major batch is strided, and v.dot(v) in the l2
+    # gradient rounds a strided row differently from a contiguous one.
+    run()
+    assert subgrad_args and all(v.flags.c_contiguous for v in subgrad_args)

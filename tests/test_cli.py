@@ -680,7 +680,20 @@ def light_scan(norm, z_count, t_grid, samples, *, seed, max_iters):
     return ccnf_scan(norm, 6, (0.5, 0.8), 2500, seed=seed, max_iters=max_iters)
 
 
+# SHA-256 of every file that `reproduce all --seed 0 --output` writes, as
+# the kernels that reduced long narrow batches column by column wrote them.
+# A change that claims the battery's output byte-identical keeps this file.
+REPRODUCE_ALL_DIGESTS = json.loads((Path(__file__).with_name("golden") / "reproduce_all_seed0.json").read_text())
+
+
 class TestReproduceAll:
+    def test_seed_zero_output_bytes(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "reproduce", "all", "--seed", "0", "--output", str(tmp_path))
+        assert code == 0 and out == ""
+        written = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+        assert digests == REPRODUCE_ALL_DIGESTS
+
     def test_help_describes_the_output_directory(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "all", "--help"])

@@ -15,10 +15,14 @@ reproduce them exactly.  The multi-round scan (``scan_rounds``) was written
 by the solver that first screens each working-set round at a gap of 1e-3:
 both of its cells take three rounds, whose screens add other points than
 rounds solved to the full 1e-12 did, so its second r_hat differs from
-theirs in the last digits, within the two gaps.
+theirs in the last digits, within the two gaps.  The 30-point center in
+l2^10 (``center_dim10``) was written by the kernels that reduced long
+narrow batches column by column, before point sets were stored in a layout
+of their own.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -56,8 +60,18 @@ L1P5_POINTS = [
     [0.75, 0.5, 0.5, 0.5, 0.5],
 ]
 
+_DIM10 = random.Random(11)
+DIM10_POINTS = [[_DIM10.uniform(-1.0, 1.0) for _ in range(10)] for _ in range(30)]
+
 CASES = {
     "center": ["center", "--input", json.dumps(EUCLID_PAIR)],
+    # Ten columns: numpy sums each row pairwise, as it does row-major; the
+    # same points laid out column-major would sum them in order.
+    "center_dim10": [
+        "center",
+        "--input",
+        json.dumps({"norm": {"dim": 10, "family": {"pnorm": 2}}, "points": DIM10_POINTS}),
+    ],
     # An exhausted budget writes the "flags" key that a converged center omits.
     "center_not_converged": [
         "center",
@@ -89,7 +103,7 @@ CASES = {
         json.dumps({"norm": {"dim": 2, "family": {"pnorm": 2}}, "z_count": 1, "t_grid": [0.5], "samples": 400}),
     ],
     # Cells at the reference density of `reproduce all`: about 15k sample
-    # points each, past the row count where the kernels reduce by columns.
+    # points each, stored column-major.
     "scan_reference": [
         "scan",
         "--input",

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccflab import (
     INF,
+    PointSet,
     convexity_defect,
     distance,
     eval_norm,
@@ -19,7 +20,8 @@ from ccflab import (
     sup_plus_weighted_l2,
     weighted_pnorm,
 )
-from ccflab.norms import _COLUMN_ROWS, NormSpec, PNorm, _by_columns, _rowwise, linf_lower_constant
+from ccflab.ccf import TwoBallSet
+from ccflab.norms import NormSpec, PNorm, _column_major, linf_lower_constant
 from ccflab.sampling import rng_stream
 
 
@@ -323,11 +325,11 @@ class TestFloatOperationsPinned:
                 same_bits(norm_subgradient(pnorm(4, 2), v), self.reference_subgradient("l2", v))
 
 
-def row_rule_batch(n):
-    """3 * _COLUMN_ROWS rows in R^n, entries from about 1e-152 to 1e152: a
-    zero row, a -0.0 row and a row of mixed-sign zeros and values first."""
+def layout_batch(n):
+    """768 rows in R^n, entries from about 1e-152 to 1e152: a zero row, a
+    -0.0 row and a row of mixed-sign zeros and values first."""
     rng = rng_stream(29, "row-rule", n)
-    rows = 3 * _COLUMN_ROWS
+    rows = 768
     X = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-150, 151, size=(rows, 1))
     X *= 10.0 ** rng.integers(-2, 3, size=X.shape)
     X[0] = 0.0
@@ -336,11 +338,12 @@ def row_rule_batch(n):
     return X
 
 
-class TestRowRule:
-    """Long batches of 2-7 columns are reduced column by column, the rest by
-    one numpy call; on either side of the row floor every family's kernel
-    gives the bits of np.linalg.norm or of TestFloatOperationsPinned's
-    formulas.  Dims 8 and 9 are where numpy sums pairwise."""
+class TestLayoutRule:
+    """Point sets and samples of 2-7 columns are stored column-major, wider
+    ones row-major.  Below 8 columns every family's kernel gives the bits of
+    np.linalg.norm on the row-major batch (or of TestFloatOperationsPinned's
+    formulas) in either layout; from 8 numpy sums the row-major batch
+    pairwise, and the stored layout is row-major.  Dims 8 and 9 are there."""
 
     @staticmethod
     def families(n):
@@ -364,35 +367,35 @@ class TestRowRule:
 
     @staticmethod
     def batches(n):
-        """Below and above the row floor, each as 2 and 3 axes, and column-sliced."""
-        X = row_rule_batch(n)
-        below = X[: 3 * ((_COLUMN_ROWS - 1) // 3)]
+        """Short and long, each as 2 and 3 axes, and column-sliced."""
+        X = layout_batch(n)
+        short = X[:9]
         wide = np.concatenate([X, X[:, :1]], axis=1)
-        for batch in (below, X):
+        for batch in (short, X):
             yield batch
             yield batch.reshape(3, -1, n)
             yield wide[: len(batch), 1:]
         yield from X[:6]
 
     @pytest.mark.parametrize("n", range(1, 10))
-    def test_both_paths_run(self, n):
-        X = row_rule_batch(n)
-        assert not _by_columns(X[: _COLUMN_ROWS - 1])
-        assert _by_columns(X) == _by_columns(X.reshape(3, -1, n)) == (2 <= n <= 7)
+    def test_points_and_samples_are_stored_column_major_below_eight(self, n):
+        norm = pnorm(n, 2)
+        points = PointSet(norm, layout_batch(n)).points
+        sample, accepted, _ = TwoBallSet(c=np.zeros(n), r=1.0, y=np.full(n, 0.1), R=1.0, norm=norm).sample(20000)
+        assert accepted > 2 * n
+        assert points.flags.f_contiguous == (n < 8) and points.flags.c_contiguous == (n == 1 or n >= 8)
+        if n < 8:
+            assert sample.flags.f_contiguous and sample.flags.c_contiguous == (n == 1)
+        assert PointSet(norm, sample).points.flags.c_contiguous == (n == 1 or n >= 8)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_dist_matches_numpy(self, n):
         for spec, want in self.families(n):
             for batch in self.batches(n):
+                layouts = [batch, _column_major(batch)] + [np.asfortranarray(batch)] * (n < 8)
                 with np.errstate(over="ignore"):  # |x|^3 of 1e152 is inf on both sides
-                    same_bits(eval_norm(spec, batch), want(batch))
-
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_rowwise_matches_broadcast(self, n):
-        v = row_rule_batch(n)[-1]
-        for batch in self.batches(n):
-            for ufunc in (np.add, np.subtract, np.multiply):
-                same_bits(_rowwise(ufunc, batch, v), ufunc(batch, v))
+                    for laid in layouts:
+                        same_bits(eval_norm(spec, laid), want(batch))
 
 
 class TestSpecValidation:

@@ -18,9 +18,9 @@ from ccflab import (
     weighted_pnorm,
 )
 from ccflab import solver
-from ccflab.norms import _COLUMN_ROWS, linf_lower_constant
+from ccflab.norms import linf_lower_constant
 from ccflab.sampling import rng_stream
-from ccflab.solver import _CONVERGED_RTOL, _CORE_PER_DIM, _ROUND_RTOL, _bounds, _centroid, _farthest_first
+from ccflab.solver import _CONVERGED_RTOL, _CORE_PER_DIM, _ROUND_RTOL, _centroid, _farthest_first
 
 
 def sp_formula(p):
@@ -137,13 +137,20 @@ class TestFullSamplePasses:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 16, 64])
     def test_bounds_and_centroid_match_numpy(self, dim):
+        # The solver's bounds and start, on the points as PointSet stores
+        # them, have the bytes of numpy's min, max and mean of the rows.
         rng = rng_stream(31, "prologue", dim)
-        for rows in (_COLUMN_ROWS - 1, 3 * _COLUMN_ROWS):
+        for rows in (255, 768):
             pts = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-8, 9, size=(rows, 1))
             pts[0] = -0.0
             pts[:, 1] = np.where(rng.uniform(size=rows) < 0.5, 0.0, -0.0)  # which zero is least
-            lo, hi = _bounds(pts)
-            for got, want in ((lo, pts.min(axis=0)), (hi, pts.max(axis=0)), (_centroid(pts), pts.mean(axis=0))):
+            stored = PointSet(pnorm(dim, 2), pts).points
+            for got, want in (
+                (stored.min(axis=0), pts.min(axis=0)),
+                (stored.max(axis=0), pts.max(axis=0)),
+                (_centroid(stored), pts.mean(axis=0)),
+                (_centroid(pts), pts.mean(axis=0)),
+            ):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
