@@ -22,7 +22,7 @@ from ccflab import (
 )
 from ccflab.ccf import TwoBallSet
 from ccflab.norms import NormSpec, PNorm, _column_major, linf_lower_constant
-from ccflab.sampling import rng_stream
+from ccflab.sampling import rejection_sample_two_balls, rng_stream
 
 
 def ones_plus_half_l2(n):
@@ -396,6 +396,23 @@ class TestLayoutRule:
                 with np.errstate(over="ignore"):  # |x|^3 of 1e152 is inf on both sides
                     for laid in layouts:
                         same_bits(eval_norm(spec, laid), want(batch))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_sample_matches_row_major_broadcast(self, n):
+        """The sampler's laid-out draw, scaled and shifted in place, gives the
+        rows and bits of row-major broadcasting and ``cand[keep]``."""
+        c, y = np.zeros(n), np.linspace(0.05, 0.4, n)
+        mixed = 0
+        for spec, _ in self.families(n):
+            got, accepted, proposed = rejection_sample_two_balls(spec, c, 1.0, y, 1.0, 5000, rng_stream(31, "bc", n))
+            a = linf_lower_constant(spec)
+            lo, hi = np.maximum(c - 1.0 / a, y - 1.0 / a), np.minimum(c + 1.0 / a, y + 1.0 / a)
+            cand = rng_stream(31, "bc", n).uniform(size=(5000, n)) * (hi - lo) + lo
+            keep = (eval_norm(spec, cand - c) <= 1.0) & (eval_norm(spec, cand - y) <= 1.0)
+            same_bits(got, cand[keep])
+            assert (accepted, proposed) == (int(keep.sum()), 5000)
+            mixed += 0 < accepted < proposed
+        assert mixed
 
 
 class TestSpecValidation:
