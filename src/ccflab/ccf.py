@@ -199,25 +199,25 @@ class TwoBallSet(Record):
         object.__setattr__(self, "R", R)
 
     def sample(self, proposals: int):
-        """Points of the body: (points, accepted, proposed).
+        """Points of the body: (PointSet, accepted, proposed).
 
-        The points are the anchors c and (1 - s) c + s y, s = r/R, then the
-        accepted proposals (uniform on the body), which ``accepted`` counts.
-        ``proposals`` must be nonnegative.  Degenerate bodies (r = 0) return
-        just {c}, with no proposal accepted.  The Philox stream is keyed by
-        (sampler_seed, "rtz", r), so samples are nested across growing
-        ``proposals``.
+        The set's points are the anchors c and (1 - s) c + s y, s = r/R, then
+        the accepted proposals (uniform on the body), which ``accepted``
+        counts; its norm is the body's.  ``proposals`` must be nonnegative.
+        Degenerate bodies (r = 0) give the set {c}, with no proposal
+        accepted.  The Philox stream is keyed by (sampler_seed, "rtz", r), so
+        samples are nested across growing ``proposals``.
         """
         if proposals < 0:
             raise ValueError(f"'proposals' must be at least 0, got {proposals}")
         if self.r == 0.0:
-            return self.c.reshape(1, -1), 0, proposals
+            return PointSet(self.norm, self.c.reshape(1, -1)), 0, proposals
         s = self.r / self.R if self.r < self.R else 1.0
         rng = rng_stream(self.sampler_seed, "rtz", self.r)
-        pts, accepted, proposed = rejection_sample_two_balls(
-            self.norm, self.c, self.r, self.y, self.R, proposals, rng
-        )
-        return np.vstack([self.c, (1.0 - s) * self.c + s * self.y, pts]), accepted, proposed
+        pts, accepted, proposed = rejection_sample_two_balls(self, proposals, rng)
+        # Not drawn into a buffer with room for the anchors: that would take fresh pages.
+        stacked = np.vstack([self.c, (1.0 - s) * self.c + s * self.y, pts])
+        return PointSet(self.norm, stacked), accepted, proposed
 
 
 def build_two_ball_set(A: PointSet, c, r: float, y, *, seed: int = 0) -> TwoBallSet:
@@ -277,18 +277,18 @@ def check_two_ball_properties(
     max_iters: int | None = None,
 ) -> TwoBallReport:
     """Exercise the two-ball body's containment and radius properties, each
-    up to DEFAULT_ACHIEVER_TOL, checking the solver's limits before sampling."""
+    up to DEFAULT_ACHIEVER_TOL, on ``U.sample``'s set; that ``U`` and ``A``
+    share one norm, and the solver's limits, are checked before sampling."""
+    if U.norm != A.norm:
+        raise ValueError(f"the body and the set must share one norm, got {U.norm} and {A.norm}")
     _check_solvable(A.dim, max_iters)
     tol = DEFAULT_ACHIEVER_TOL
-    d_c = A.norm.family.dist(A.points - U.c)
-    d_y = A.norm.family.dist(A.points - U.y)
-    containment = bool(np.all(d_c <= U.r + tol) and np.all(d_y <= U.R + tol))
+    containment = outer_radius(A, U.c) <= U.r + tol and outer_radius(A, U.y) <= U.R + tol
 
-    pts, accepted, proposed = U.sample(samples)
-    sample_set = PointSet(A.norm, pts)
-    solved = chebyshev_center(sample_set, max_iters, extra_starts=[U.c])
-    r_c_sample = outer_radius(sample_set, U.c)
-    max_to_y = float(np.max(A.norm.family.dist(sample_set.points - U.y)))
+    sample, accepted, proposed = U.sample(samples)
+    solved = chebyshev_center(sample, max_iters, extra_starts=[U.c])
+    r_c_sample = outer_radius(sample, U.c)
+    max_to_y = outer_radius(sample, U.y)
     return TwoBallReport(
         containment_ok=containment,
         sample_radius_ok=bool(solved.radius <= U.r + tol),
@@ -359,13 +359,13 @@ def estimate_r_tz(
     _check_solvable(norm.dim, max_iters)
 
     cell = TwoBallSet(c=az, r=t, y=np.zeros(norm.dim), R=1.0, norm=norm, sampler_seed=seed)
-    pts, accepted, proposed = cell.sample(samples)
+    # The anchors come first: the solver's working set depends on row order.
+    sample, accepted, proposed = cell.sample(samples)
     flags: tuple[str, ...] = ()
     if accepted / proposed < 1e-3:
         flags = ("thin_intersection",)
 
-    # The anchors stay first: the solver's working set depends on row order.
-    solved = chebyshev_center(PointSet(norm, pts), max_iters, extra_starts=[az])
+    solved = chebyshev_center(sample, max_iters, extra_starts=[az])
     if not solved.converged:
         flags = flags + ("solver_not_converged",)
     return RtzEstimate(

@@ -60,8 +60,8 @@ def _as_batch(x, dim: int, name: str = "x", ndim: int | None = None) -> np.ndarr
 
 
 def as_vector(x, dim: int, name: str = "x") -> np.ndarray:
-    """``x`` as a finite float vector of length ``dim``."""
-    return _as_batch(x, dim, name, ndim=1)
+    """A copy of ``x``, for a record to own, as a finite float vector of length ``dim``."""
+    return _as_batch(x, dim, name, ndim=1).copy()
 
 
 def json_scalar(kind: type, value):
@@ -355,8 +355,8 @@ def norm_subgradient(norm: NormSpec, v) -> np.ndarray:
     lowest argmax coordinate.  At v = 0 the zero vector is returned (a valid
     subgradient of any norm at the origin).
     """
-    # Contiguous, as the kernels' rows are: a strided dot product rounds differently.
-    return norm.family.subgrad(np.ascontiguousarray(as_vector(v, norm.dim, "v")))
+    # as_vector's copy is contiguous, as the kernels' rows are: a strided dot product rounds differently.
+    return norm.family.subgrad(as_vector(v, norm.dim, "v"))
 
 
 def linf_lower_constant(norm: NormSpec) -> float:

@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from .norms import NormSpec, _column_major, as_vector, linf_lower_constant
+from .norms import NormSpec, _column_major, linf_lower_constant
 
 __all__ = [
     "rng_stream",
@@ -49,24 +49,17 @@ def sample_unit_vectors(norm: NormSpec, count: int, rng: np.random.Generator) ->
     return out
 
 
-def rejection_sample_two_balls(
-    norm: NormSpec,
-    c: np.ndarray,
-    r: float,
-    y: np.ndarray,
-    R: float,
-    proposals: int,
-    rng: np.random.Generator,
-):
-    """Uniform sample of B[c, r] ∩ B[y, R] by box rejection.
+def rejection_sample_two_balls(body, proposals: int, rng: np.random.Generator):
+    """Uniform sample of ``body``, the ``TwoBallSet`` B[c, r] ∩ B[y, R].
 
-    Returns (accepted points, accepted count, proposal count).  Proposals are
-    drawn uniformly from the intersection of the two balls' bounding boxes
-    (B[x, s] fits in x +- s / linf_lower_constant per coordinate), so
-    accepted points are uniform on the intersection body.  When the boxes
-    are disjoint, or ``proposals`` is 0, no row is accepted.
+    Reads the body's norm, c, r, y and R as its construction checked them,
+    and returns (accepted points, accepted count, proposal count), the points
+    in the draw's ``_column_major`` layout.  Proposals are drawn uniformly
+    from the intersection of the two balls' bounding boxes (B[x, s] fits in
+    x +- s / linf_lower_constant per coordinate), so accepted points are
+    uniform on the body.  When ``proposals`` is 0 no row is accepted.
     """
-    c, y = as_vector(c, norm.dim, "c"), as_vector(y, norm.dim, "y")
+    norm, c, r, y, R = body.norm, body.c, body.r, body.y, body.R
     a = linf_lower_constant(norm)
     lo = np.maximum(c - r / a, y - R / a)
     hi = np.minimum(c + r / a, y + R / a)
@@ -76,5 +69,9 @@ def rejection_sample_two_balls(
     cand += lo
     dist = norm.family.dist
     keep = (dist(cand - c) <= r) & (dist(cand - y) <= R)
-    pts = np.compress(keep, cand.T, axis=1).T  # cand[keep], kept in cand's layout
+    # cand[keep], kept in cand's layout: compress along the contiguous axis.
+    if cand.flags.c_contiguous:
+        pts = np.compress(keep, cand, axis=0)
+    else:
+        pts = np.compress(keep, cand.T, axis=1).T
     return pts, int(pts.shape[0]), proposals

@@ -290,7 +290,7 @@ def brute_force_center(
     if np.any(hi0 <= lo0):
         raise ValueError("box must have positive extent")
 
-    lo, hi = lo0.copy(), hi0.copy()
+    lo, hi = lo0, hi0
     evals = 0
     best_radius = np.inf
     best_x = None

@@ -122,9 +122,9 @@ def test_scan_cell_checks_each_input_once(array_checks):
         array_checks.clear()
         estimate_r_tz(pnorm(2, 3), np.array([1.0, 0.0]), 0.5, samples)
         counts.append(len(array_checks))
-    # z on the unit sphere; c and y in TwoBallSet and again in the public
-    # sampler; the sample's PointSet; z as the solver's extra start.
-    assert counts == [7, 7]
+    # z on the unit sphere; c and y in TwoBallSet, which the sampler reads as
+    # they are; the sample's PointSet; z as the solver's extra start.
+    assert counts == [5, 5]
 
 
 @pytest.fixture

@@ -81,6 +81,13 @@ class TestVerifyWitness:
         with pytest.raises(ValueError, match="nontrivial"):
             verify_ccf_witness(CcfWitness(A, 0, [0.0, 0.0]))
 
+    def test_witness_owns_its_viewpoint(self):
+        viewpoint = np.zeros(2)
+        witness = CcfWitness(l1_segment_witness_set(), 2, viewpoint)
+        viewpoint[:] = 5.0
+        assert np.array_equal(witness.viewpoint, [0.0, 0.0])
+        assert verify_ccf_witness(witness).status == CONFIRMED
+
     def test_verdict_json_round_trip(self):
         witness = CcfWitness(l1_segment_witness_set(), 2, [0.0, 0.0], center_tol=1e-5)
         verdict = verify_ccf_witness(witness)
@@ -177,13 +184,32 @@ class TestTwoBallSet:
         with pytest.raises(ValueError, match=message):
             check_two_ball_properties(U, A, 100, max_iters=max_iters)
 
+    def test_norm_mismatch_rejected_before_sampling(self, monkeypatch):
+        # Sampled under l1 but solved under l2, this body passed every check.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled before the norm check")
+
+        monkeypatch.setattr(TwoBallSet, "sample", unreachable)
+        A = PointSet(pnorm(2, 2), [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        U = TwoBallSet(c=np.array([0.5, 0.5]), r=1.0, y=np.zeros(2), R=1.0, norm=pnorm(2, 1))
+        with pytest.raises(ValueError, match="must share one norm"):
+            check_two_ball_properties(U, A, 500)
+
+    def test_body_owns_its_vectors(self):
+        c, y = np.array([0.0, 0.5]), np.zeros(2)
+        U = TwoBallSet(c=c, r=0.5, y=y, R=1.0, norm=pnorm(2, 2), sampler_seed=3)
+        before = U.sample(200)[0].points
+        c[0], y[1] = 100.0, -7.0
+        assert np.array_equal(U.c, [0.0, 0.5]) and np.array_equal(U.y, [0.0, 0.0])
+        assert np.array_equal(U.sample(200)[0].points, before)
+
     def test_degenerate_singleton(self):
         A = PointSet(pnorm(2, 2), [[0.3, 0.3]])
         U = TwoBallSet(c=np.array([0.3, 0.3]), r=0.0, y=np.array([1.0, 1.0]),
                        R=distance(A.norm, [0.3, 0.3], [1.0, 1.0]), norm=A.norm)
-        pts, accepted, proposed = U.sample(100)
+        sample, accepted, proposed = U.sample(100)
         assert (accepted, proposed) == (0, 100)
-        assert np.array_equal(pts, [[0.3, 0.3]])
+        assert sample.norm == U.norm and np.array_equal(sample.points, [[0.3, 0.3]])
         report = check_two_ball_properties(U, A, 100)
         assert report.all_ok
         assert (report.accepted, report.proposals) == (0, 100)
@@ -219,15 +245,17 @@ class TestTwoBallSet:
     def test_sample_starts_with_anchors(self):
         U = TwoBallSet(c=np.array([1.0, 0.0]), r=0.5, y=np.array([-1.0, 0.0]), R=2.0,
                        norm=pnorm(2, 2), sampler_seed=4)
-        pts, accepted, proposed = U.sample(300)
+        sample, accepted, proposed = U.sample(300)
+        pts = sample.points
+        assert sample.norm == U.norm
         assert np.array_equal(pts[:2], [[1.0, 0.0], [0.5, 0.0]])
         assert (pts.shape[0], proposed) == (accepted + 2, 300)
         assert np.all(eval_norm(U.norm, pts - U.c) <= U.r)
         assert np.all(eval_norm(U.norm, pts - U.y) <= U.R)
 
     def test_zero_proposals_sample_nothing(self):
-        pts, accepted, proposed = rejection_sample_two_balls(
-            pnorm(2, 2), np.zeros(2), 1.0, np.array([0.5, 0.0]), 1.0, 0, rng_stream(0, "empty"))
+        U = TwoBallSet(c=np.zeros(2), r=1.0, y=np.array([0.5, 0.0]), R=1.0, norm=pnorm(2, 2))
+        pts, accepted, proposed = rejection_sample_two_balls(U, 0, rng_stream(0, "empty"))
         assert pts.shape == (0, 2)
         assert (accepted, proposed) == (0, 0)
 
@@ -339,8 +367,8 @@ class TestEstimateRtz:
         norm = pnorm(2, p)
         z = np.array([0.6, -0.8]) / eval_norm(norm, [0.6, -0.8])
         est = estimate_r_tz(norm, z, t, 1500, seed=11)
-        pts, accepted, _ = TwoBallSet(z, t, np.zeros(2), 1.0, norm, sampler_seed=11).sample(1500)
-        solved = chebyshev_center(PointSet(norm, pts), extra_starts=[z])
+        sample, accepted, _ = TwoBallSet(z, t, np.zeros(2), 1.0, norm, sampler_seed=11).sample(1500)
+        solved = chebyshev_center(sample, extra_starts=[z])
         assert (est.r_hat, est.sample_count) == (solved.radius, accepted)
 
 
@@ -401,9 +429,9 @@ class TestCcnfScan:
         # perfbench's sampling counters wrap this name: one call, the cell's proposals.
         calls = []
 
-        def counting(norm, c, r, y, R, proposals, rng):
+        def counting(body, proposals, rng):
             calls.append(proposals)
-            return rejection_sample_two_balls(norm, c, r, y, R, proposals, rng)
+            return rejection_sample_two_balls(body, proposals, rng)
 
         monkeypatch.setattr("ccflab.ccf.rejection_sample_two_balls", counting)
         scan = ccnf_scan(pnorm(2, 3), 3, [0.5, 1.0], 400, seed=2)

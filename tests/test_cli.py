@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import importlib
@@ -17,8 +18,10 @@ from ccflab import CenterResult, ExampleReport, FarthestQuery, WitnessVerdict, n
 from ccflab import cli
 from ccflab.ccf import ccnf_scan
 from ccflab.cli import main, reproduce_all
+from ccflab.sampling import rejection_sample_two_balls, rng_stream
 
-sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(REPO_ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py, which builds the benchmark's CLI requests)
 
 EUCLID_PAIR = {
@@ -452,6 +455,7 @@ class TestFlags:
 
     @pytest.mark.parametrize("argv", [
         ["cap-check", "--input", json.dumps(CAP_INPUT), "--tol", "cap=nan"],
+        ["cap-check", "--input", json.dumps(CAP_INPUT), "--tol", "cap=abc"],
     ], ids=_argv_id)
     def test_non_finite_tol_exits_two(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -631,6 +635,23 @@ class TestBenchmarkContract:
             ccnf_threshold=ccflab.ccf.CCNF_EVIDENCE_MAX_RATIO, ccf_threshold=ccflab.ccf.CCF_SIGNAL_MIN_RATIO,
         )
         assert union == scan
+
+    def test_sampler_result_is_what_the_benchmark_counts(self):
+        # perfbench/run.py's tracer wraps the sampler, and its observer unpacks
+        # the result as (points, accepted, proposals).
+        observe = importlib.import_module("run")._observe_sampler
+        body = ccflab.TwoBallSet(c=[1.0, 0.0], r=0.5, y=[0.0, 0.0], R=1.0, norm=pnorm(2, 3))
+        result = rejection_sample_two_balls(body, 400, rng_stream(0, "observed"))
+        counters = collections.Counter()
+        observe(counters, (body, 400), {}, result)
+        assert counters == {"sampling.accepted": len(result[0]), "sampling.proposals": 400}
+
+    def test_benchmark_selftest_passes(self):
+        # perfbench/run.py records scipy's version in each run's environment.
+        pytest.importorskip("scipy", reason="perfbench/run.py imports scipy")
+        done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=REPO_ROOT,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
 
     def test_library_names_benchmark_calls(self):
         for name in ("pnorm", "ccnf_scan", "PointSet", "brute_force_center"):

@@ -381,12 +381,12 @@ class TestLayoutRule:
     def test_points_and_samples_are_stored_column_major_below_eight(self, n):
         norm = pnorm(n, 2)
         points = PointSet(norm, layout_batch(n)).points
-        sample, accepted, _ = TwoBallSet(c=np.zeros(n), r=1.0, y=np.full(n, 0.1), R=1.0, norm=norm).sample(20000)
+        body = TwoBallSet(c=np.zeros(n), r=1.0, y=np.full(n, 0.1), R=1.0, norm=norm)
+        raw, accepted, _ = rejection_sample_two_balls(body, 20000, rng_stream(0, "layout", n))
         assert accepted > 2 * n
-        assert points.flags.f_contiguous == (n < 8) and points.flags.c_contiguous == (n == 1 or n >= 8)
-        if n < 8:
-            assert sample.flags.f_contiguous and sample.flags.c_contiguous == (n == 1)
-        assert PointSet(norm, sample).points.flags.c_contiguous == (n == 1 or n >= 8)
+        # The raw sample, as the sampler returns it, and the body's sample set.
+        for stored in (points, raw, body.sample(20000)[0].points):
+            assert stored.flags.f_contiguous == (n < 8) and stored.flags.c_contiguous == (n == 1 or n >= 8)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_dist_matches_numpy(self, n):
@@ -404,11 +404,13 @@ class TestLayoutRule:
         c, y = np.zeros(n), np.linspace(0.05, 0.4, n)
         mixed = 0
         for spec, _ in self.families(n):
-            got, accepted, proposed = rejection_sample_two_balls(spec, c, 1.0, y, 1.0, 5000, rng_stream(31, "bc", n))
+            R = max(1.0, float(eval_norm(spec, y)))  # c in B[y, R]: a valid body
+            body = TwoBallSet(c=c, r=1.0, y=y, R=R, norm=spec)
+            got, accepted, proposed = rejection_sample_two_balls(body, 5000, rng_stream(31, "bc", n))
             a = linf_lower_constant(spec)
-            lo, hi = np.maximum(c - 1.0 / a, y - 1.0 / a), np.minimum(c + 1.0 / a, y + 1.0 / a)
+            lo, hi = np.maximum(c - 1.0 / a, y - R / a), np.minimum(c + 1.0 / a, y + R / a)
             cand = rng_stream(31, "bc", n).uniform(size=(5000, n)) * (hi - lo) + lo
-            keep = (eval_norm(spec, cand - c) <= 1.0) & (eval_norm(spec, cand - y) <= 1.0)
+            keep = (eval_norm(spec, cand - c) <= 1.0) & (eval_norm(spec, cand - y) <= R)
             same_bits(got, cand[keep])
             assert (accepted, proposed) == (int(keep.sum()), 5000)
             mixed += 0 < accepted < proposed

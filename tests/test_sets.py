@@ -126,6 +126,12 @@ class TestFarthestSet:
         with pytest.raises(ValueError, match="tolerance must be positive"):
             farthest_set(basis_with_origin(3), np.ones(3), tol=tol)
 
+    def test_query_owns_its_viewpoint(self):
+        viewpoint = np.ones(3)
+        fq = farthest_set(basis_with_origin(3), viewpoint)
+        viewpoint[:] = 0.0
+        assert np.array_equal(fq.viewpoint, np.ones(3))
+
     def test_round_trip(self):
         from ccflab import FarthestQuery
 
