@@ -84,8 +84,8 @@ class CcfWitness(Record):
 class WitnessVerdict(Record):
     """Outcome of witness verification plus the numbers behind it.
 
-    ``center_margin`` is chebyshev_radius + tol - outer_radius(A, claimed
-    center) (nonnegative when the center check passes) and
+    ``center_margin`` is the solver's chebyshev_radius + tol - outer_radius(A,
+    claimed center) (nonnegative when the center check passes) and
     ``farthest_margin`` is the claimed center's distance from the viewpoint
     minus the largest rival distance (>= -tol when the farthest check
     passes).
@@ -97,11 +97,14 @@ class WitnessVerdict(Record):
     )
 
     status: str
-    chebyshev_radius: float
     center_outer_radius: float
     center_margin: float
     farthest_margin: float
     solver: CenterResult
+
+    @property
+    def chebyshev_radius(self) -> float:
+        return self.solver.radius
 
     @property
     def confirmed(self) -> bool:
@@ -139,7 +142,6 @@ def verify_ccf_witness(w: CcfWitness, max_iters: int | None = None) -> WitnessVe
         status = CONFIRMED
     return WitnessVerdict(
         status=status,
-        chebyshev_radius=solved.radius,
         center_outer_radius=r_claimed,
         center_margin=center_margin,
         farthest_margin=far_margin,

@@ -8,10 +8,10 @@ downstream computation can be serialized, replayed and tested bit-identically;
 no user-supplied callbacks are accepted.
 
 Each family carries two unchecked kernels, chosen once when it is built:
-``dist(x)``, the norm of every row of x, and ``subgrad(v)``, a subgradient at
-v.  The public evaluators check their arguments, for callers outside ccflab;
-its other modules call the kernels on arrays checked where they entered.  All
-evaluators are pure functions of immutable values and safe to call concurrently.
+``dist(x)``, the norm of every row of x, and ``_subgrad(v)``, a subgradient at
+v != 0, to which their shared base adds 0 at v = 0 as ``subgrad(v)``.  The public
+evaluators check their arguments, for callers outside ccflab; its other modules call
+``dist`` and ``subgrad`` on arrays checked where they entered.  All are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -60,8 +60,10 @@ def _as_batch(x, dim: int, name: str = "x", ndim: int | None = None) -> np.ndarr
 
 
 def as_vector(x, dim: int, name: str = "x") -> np.ndarray:
-    """A copy of ``x``, for a record to own, as a finite float vector of length ``dim``."""
-    return _as_batch(x, dim, name, ndim=1).copy()
+    """A read-only copy of ``x``, for a record to own, as a finite float vector of length ``dim``."""
+    v = _as_batch(x, dim, name, ndim=1).copy()
+    v.setflags(write=False)
+    return v
 
 
 def json_scalar(kind: type, value):
@@ -89,13 +91,11 @@ def _positive_weights(weights, what: str) -> tuple[float, ...]:
     return w
 
 
-def _zero_at_origin(kernel):
-    """``kernel`` (of v, or of self and v) with 0 at v = 0, a subgradient of any norm there."""
+class _Family:
+    """The norm families' base: their ``_subgrad`` takes v != 0, and ``subgrad`` adds 0 at v = 0."""
 
-    def subgrad(*args):
-        return kernel(*args) if np.count_nonzero(args[-1]) else np.zeros_like(args[-1])
-
-    return subgrad
+    def subgrad(self, v: np.ndarray) -> np.ndarray:
+        return self._subgrad(v) if np.count_nonzero(v) else np.zeros_like(v)
 
 
 def _column_major(a: np.ndarray) -> np.ndarray:
@@ -138,7 +138,7 @@ def _sup_subgradient(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PNorm:
+class PNorm(_Family):
     """The lp norm, for any real p >= 1 or infinity; p = 1, 2 and inf have kernels of their own."""
 
     p: float
@@ -154,7 +154,7 @@ class PNorm:
             INF: (_sup_norm, _sup_subgradient),
         }.get(p, (self._lp_norm, self._lp_subgradient))
         object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "subgrad", _zero_at_origin(subgrad))
+        object.__setattr__(self, "_subgrad", subgrad)
 
     def __reduce__(self):  # the kernels are rebuilt from p
         return PNorm, (self.p,)
@@ -169,7 +169,7 @@ class PNorm:
 
 
 @dataclass(frozen=True)
-class SumComposite:
+class SumComposite(_Family):
     """A positive-weighted sum of child norms sharing one ambient dimension."""
 
     terms: tuple[tuple[float, "NormSpec"], ...]
@@ -186,13 +186,12 @@ class SumComposite:
     def dist(self, x: np.ndarray):
         return sum(w * child.family.dist(x) for w, child in self.terms)
 
-    @_zero_at_origin
-    def subgrad(self, v: np.ndarray) -> np.ndarray:
-        return sum(w * child.family.subgrad(v) for w, child in self.terms)
+    def _subgrad(self, v: np.ndarray) -> np.ndarray:
+        return sum(w * child.family._subgrad(v) for w, child in self.terms)
 
 
 @dataclass(frozen=True)
-class SupPlusWeightedL2:
+class SupPlusWeightedL2(_Family):
     """max_k |x_k| plus sqrt(sum_k w_k x_k^2), with strictly positive weights."""
 
     weights: tuple[float, ...]
@@ -204,8 +203,7 @@ class SupPlusWeightedL2:
     def dist(self, x: np.ndarray):
         return _sup_norm(x) + np.sqrt(np.add.reduce(self._w * x * x, axis=-1))
 
-    @_zero_at_origin
-    def subgrad(self, v: np.ndarray) -> np.ndarray:
+    def _subgrad(self, v: np.ndarray) -> np.ndarray:
         g = _sup_subgradient(v)
         l2 = np.sqrt(np.sum(self._w * v * v))
         if l2 > 0.0:
@@ -214,7 +212,7 @@ class SupPlusWeightedL2:
 
 
 @dataclass(frozen=True)
-class WeightedPNorm:
+class WeightedPNorm(_Family):
     """(sum_k w_k |x_k|^p)^(1/p) for a finite discrete measure; 1 < p < inf."""
 
     p: float
@@ -233,8 +231,7 @@ class WeightedPNorm:
     def dist(self, x: np.ndarray):
         return self._lp(x * self._scale)
 
-    @_zero_at_origin
-    def subgrad(self, v: np.ndarray) -> np.ndarray:
+    def _subgrad(self, v: np.ndarray) -> np.ndarray:
         p, w = self.p, self._w
         u = v / np.abs(v).max()
         total = np.sum(w * np.abs(u) ** p) ** (1.0 / p)

@@ -57,8 +57,8 @@ class PointSet(Record):
 
     @property
     def nontrivial(self) -> bool:
-        """True iff the set has at least two distinct points."""
-        return len(np.unique(self.points, axis=0)) >= 2
+        """True iff the set has at least two distinct points, i.e. some coordinate varies."""
+        return not np.array_equal(self.points.min(axis=0), self.points.max(axis=0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -111,11 +111,10 @@ def _farthest_first(d: np.ndarray, k: int) -> np.ndarray:
     Every index whose distance reaches the k-th largest is kept, in index
     order, so the stable sort of those few alone gives the same ranking.
     """
-    if k < len(d):
-        kth = np.partition(d, len(d) - k)[len(d) - k]
-        top = np.flatnonzero(d >= kth)
-        return top[np.argsort(-d[top], kind="stable")[:k]]
-    return np.argsort(-d, kind="stable")
+    k = min(k, len(d))
+    kth = np.partition(d, len(d) - k)[len(d) - k]
+    top = np.flatnonzero(d >= kth)
+    return top[np.argsort(-d[top], kind="stable")[:k]]
 
 
 def _centroid(pts: np.ndarray) -> np.ndarray:
@@ -195,10 +194,10 @@ def chebyshev_center(A: PointSet, max_iters: int | None = None, *, extra_starts=
     _check_solvable(A.dim, max_iters)
     extra = [as_vector(s, A.dim, "start") for s in extra_starts or ()]
     pts = A.points
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    distinct = not np.array_equal(lo, hi)
+    distinct = A.nontrivial
     exact = A.dim == 1 or not distinct  # the midpoint of the extreme points is a center
     if exact:
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
         starts = [(lo + hi) / 2.0]
     else:
         starts = [_centroid(pts)] + extra

@@ -5,7 +5,9 @@ callers outside the package.  Inside it, the layers call each norm family's
 unchecked kernels ``family.dist`` / ``family.subgrad`` on arrays that
 ``PointSet``, ``TwoBallSet``, ``CcfWitness``, the codec or a public
 function's ``as_vector`` already checked, so the array rule (``_as_batch``)
-runs a fixed number of times per call, whatever the iteration count.
+runs a fixed number of times per call, whatever the iteration count.  No
+layer calls a family's raw ``_subgrad``, which takes v != 0: ``subgrad``
+states the zero rule around it, once, in the families' base.
 
 Memory layout is decided in one place as well: only ``_column_major``,
 which ``PointSet``, the sampler and the grid oracle store their batches
@@ -32,6 +34,7 @@ from ccflab.cli import main
 PACKAGE = Path(ccflab.__file__).parent
 LAYER_FILES = sorted(p for p in PACKAGE.glob("*.py") if p.name not in ("norms.py", "__init__.py"))
 CHECKED_EVALUATORS = {"eval_norm", "norm_subgradient"}
+RAW_KERNELS = {"_subgrad"}
 IO_FREE_FILES = sorted(p for p in PACKAGE.glob("*.py") if p.name not in ("codec.py", "cli.py"))
 FILE_IO_NAMES = {"open", "Path", "write_text", "mkdir", "os", "tempfile"}
 
@@ -61,6 +64,11 @@ def _names(path: Path) -> set[str]:
 @pytest.mark.parametrize("path", LAYER_FILES, ids=lambda p: p.name)
 def test_layers_name_no_checked_evaluator(path):
     assert not _names(path) & CHECKED_EVALUATORS
+
+
+@pytest.mark.parametrize("path", LAYER_FILES, ids=lambda p: p.name)
+def test_layers_call_no_raw_kernel(path):
+    assert not _names(path) & RAW_KERNELS
 
 
 def _memory_orders(node) -> int:
@@ -129,26 +137,16 @@ def test_scan_cell_checks_each_input_once(array_checks):
 
 @pytest.fixture
 def subgrad_args(monkeypatch):
-    """The vector ``v`` of every ``family.subgrad(v)`` call, on the norms
-    built while the fixture is active."""
+    """The vector ``v`` of every ``family.subgrad(v)`` call.  A composite
+    hands its children the same v, so the top-level calls are all of them."""
     seen = []
+    subgrad = norms._Family.subgrad
 
-    def recording(kernel):
-        def subgrad(*args):
-            seen.append(args[-1])
-            return kernel(*args)
+    def recording(self, v):
+        seen.append(v)
+        return subgrad(self, v)
 
-        return subgrad
-
-    for family in (norms.SumComposite, norms.SupPlusWeightedL2, norms.WeightedPNorm):
-        monkeypatch.setattr(family, "subgrad", recording(family.subgrad))
-    post_init = norms.PNorm.__post_init__
-
-    def recording_post_init(self):
-        post_init(self)
-        object.__setattr__(self, "subgrad", recording(self.subgrad))
-
-    monkeypatch.setattr(norms.PNorm, "__post_init__", recording_post_init)
+    monkeypatch.setattr(norms._Family, "subgrad", recording)
     return seen
 
 

@@ -86,6 +86,8 @@ class TestVerifyWitness:
         witness = CcfWitness(l1_segment_witness_set(), 2, viewpoint)
         viewpoint[:] = 5.0
         assert np.array_equal(witness.viewpoint, [0.0, 0.0])
+        with pytest.raises(ValueError, match="read-only"):
+            witness.viewpoint[0] = 5.0
         assert verify_ccf_witness(witness).status == CONFIRMED
 
     def test_verdict_json_round_trip(self):
@@ -201,6 +203,9 @@ class TestTwoBallSet:
         before = U.sample(200)[0].points
         c[0], y[1] = 100.0, -7.0
         assert np.array_equal(U.c, [0.0, 0.5]) and np.array_equal(U.y, [0.0, 0.0])
+        for vector in (U.c, U.y):
+            with pytest.raises(ValueError, match="read-only"):
+                vector[0] = 100.0
         assert np.array_equal(U.sample(200)[0].points, before)
 
     def test_degenerate_singleton(self):

@@ -228,8 +228,14 @@ class TestSubgradient:
                 rhs = eval_norm(spec, v) + float(np.dot(g, w - v))
                 assert lhs >= rhs - 1e-9
 
-    def test_zero_point_returns_zero(self):
-        assert np.all(norm_subgradient(pnorm(3, 2), np.zeros(3)) == 0.0)
+    @pytest.mark.parametrize(
+        "spec", STRICT_FAMILIES + NONSTRICT_FAMILIES + [sum_composite(3, [(2.0, ones_plus_half_l2(3))])], ids=str
+    )
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=repr)
+    def test_zero_point_returns_zero(self, spec, zero):
+        v = np.full(spec.dim, zero)
+        for g in (norm_subgradient(spec, v), spec.family.subgrad(v)):
+            assert g.shape == (spec.dim,) and np.all(g == 0.0)
 
 
 def same_bits(got, want):

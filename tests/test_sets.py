@@ -73,6 +73,9 @@ class TestPointSet:
     def test_nontrivial_predicate(self):
         assert not PointSet(pnorm(2, 2), [[1.0, 0.0], [1.0, 0.0]]).nontrivial
         assert PointSet(pnorm(2, 2), [[1.0, 0.0], [0.0, 1.0]]).nontrivial
+        assert not PointSet(pnorm(3, 2), [[0.5, -1.0, 2.0]] * 3).nontrivial
+        assert not PointSet(pnorm(2, 2), [[0.0, 0.0], [-0.0, 0.0]]).nontrivial
+        assert PointSet(pnorm(3, 2), [[0.5, -1.0, 2.0], [0.5, -1.0, 2.5]]).nontrivial
 
     def test_json_round_trip(self):
         A = truncated_seq_set(4)
@@ -131,6 +134,8 @@ class TestFarthestSet:
         fq = farthest_set(basis_with_origin(3), viewpoint)
         viewpoint[:] = 0.0
         assert np.array_equal(fq.viewpoint, np.ones(3))
+        with pytest.raises(ValueError, match="read-only"):
+            fq.viewpoint[0] = 0.0
 
     def test_round_trip(self):
         from ccflab import FarthestQuery
