@@ -201,7 +201,7 @@ class TwoBallSet(Record):
         object.__setattr__(self, "R", R)
 
     def sample(self, proposals: int):
-        """Points of the body: (PointSet, accepted, proposed).
+        """Points of the body: (PointSet, accepted).
 
         The set's points are the anchors c and (1 - s) c + s y, s = r/R, then
         the accepted proposals (uniform on the body), which ``accepted``
@@ -213,13 +213,13 @@ class TwoBallSet(Record):
         if proposals < 0:
             raise ValueError(f"'proposals' must be at least 0, got {proposals}")
         if self.r == 0.0:
-            return PointSet(self.norm, self.c.reshape(1, -1)), 0, proposals
+            return PointSet(self.norm, self.c.reshape(1, -1)), 0
         s = self.r / self.R if self.r < self.R else 1.0
         rng = rng_stream(self.sampler_seed, "rtz", self.r)
-        pts, accepted, proposed = rejection_sample_two_balls(self, proposals, rng)
+        pts, accepted, _ = rejection_sample_two_balls(self, proposals, rng)
         # Not drawn into a buffer with room for the anchors: that would take fresh pages.
         stacked = np.vstack([self.c, (1.0 - s) * self.c + s * self.y, pts])
-        return PointSet(self.norm, stacked), accepted, proposed
+        return PointSet(self.norm, stacked), accepted
 
 
 def build_two_ball_set(A: PointSet, c, r: float, y, *, seed: int = 0) -> TwoBallSet:
@@ -287,7 +287,7 @@ def check_two_ball_properties(
     tol = DEFAULT_ACHIEVER_TOL
     containment = outer_radius(A, U.c) <= U.r + tol and outer_radius(A, U.y) <= U.R + tol
 
-    sample, accepted, proposed = U.sample(samples)
+    sample, accepted = U.sample(samples)
     solved = chebyshev_center(sample, max_iters, extra_starts=[U.c])
     r_c_sample = outer_radius(sample, U.c)
     max_to_y = outer_radius(sample, U.y)
@@ -300,7 +300,7 @@ def check_two_ball_properties(
         center_sample_radius=r_c_sample,
         max_sample_dist_to_y=max_to_y,
         accepted=accepted,
-        proposals=proposed,
+        proposals=samples,
     )
 
 
@@ -362,9 +362,9 @@ def estimate_r_tz(
 
     cell = TwoBallSet(c=az, r=t, y=np.zeros(norm.dim), R=1.0, norm=norm, sampler_seed=seed)
     # The anchors come first: the solver's working set depends on row order.
-    sample, accepted, proposed = cell.sample(samples)
+    sample, accepted = cell.sample(samples)
     flags: tuple[str, ...] = ()
-    if accepted / proposed < 1e-3:
+    if accepted / samples < 1e-3:
         flags = ("thin_intersection",)
 
     solved = chebyshev_center(sample, max_iters, extra_starts=[az])
@@ -375,7 +375,7 @@ def estimate_r_tz(
         t=cell.r,
         r_hat=solved.radius,
         sample_count=accepted,
-        proposals=proposed,
+        proposals=samples,
         gap=solved.gap,
         flags=flags,
     )

@@ -126,7 +126,9 @@ def _sgn_vertex(v: np.ndarray) -> np.ndarray:
 
 
 def _l2_gradient(v: np.ndarray) -> np.ndarray:
-    return v / math.sqrt(v.dot(v))
+    # np.linalg.norm dots a contiguous copy: a strided row rounds differently.
+    c = np.ascontiguousarray(v)
+    return v / math.sqrt(c.dot(c))
 
 
 def _sup_subgradient(v: np.ndarray) -> np.ndarray:
@@ -352,7 +354,6 @@ def norm_subgradient(norm: NormSpec, v) -> np.ndarray:
     lowest argmax coordinate.  At v = 0 the zero vector is returned (a valid
     subgradient of any norm at the origin).
     """
-    # as_vector's copy is contiguous, as the kernels' rows are: a strided dot product rounds differently.
     return norm.family.subgrad(as_vector(v, norm.dim, "v"))
 
 

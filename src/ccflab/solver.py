@@ -279,11 +279,14 @@ def brute_force_center(
     (constant 1 times the final cell diagonal, measured in the ambient norm).
     If the final argmin sits on the boundary of the original box the result
     carries a ``box_boundary`` flag: the box may not contain a minimizer.
+    ``grid_per_axis`` must be at least 3 and ``refine_levels`` at least 1.
     """
     if A.dim > 3:
         raise ValueError("brute-force oracle supports dim <= 3")
     if grid_per_axis < 3:
         raise ValueError("grid_per_axis must be >= 3")
+    if refine_levels < 1:
+        raise ValueError("refine_levels must be >= 1")
     lo0 = as_vector(box[0], A.dim, "box lo")
     hi0 = as_vector(box[1], A.dim, "box hi")
     if np.any(hi0 <= lo0):
@@ -293,7 +296,6 @@ def brute_force_center(
     evals = 0
     best_radius = np.inf
     best_x = None
-    spacing = (hi - lo) / (grid_per_axis - 1)
     for _level in range(refine_levels):
         axes = [np.linspace(lo[d], hi[d], grid_per_axis) for d in range(A.dim)]
         grid = _column_major(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, A.dim))
@@ -352,9 +354,8 @@ def symmetric_line_minimize(A: PointSet, direction) -> tuple[float, float]:
     lo, hi = -reach, reach
     while hi - lo > 1e-13 * reach:
         s = (lo + hi) / 2.0
-        # subgrad takes the farthest row afresh: a row of column-major points is strided.
-        i = dist(s * d - A.points).argmax()
-        slope = float(subgrad(s * d - A.points[i]) @ d)
+        diff = s * d - A.points
+        slope = float(subgrad(diff[dist(diff).argmax()]) @ d)
         if slope == 0.0:
             lo = hi = s
         elif slope > 0.0:

@@ -212,8 +212,8 @@ class TestTwoBallSet:
         A = PointSet(pnorm(2, 2), [[0.3, 0.3]])
         U = TwoBallSet(c=np.array([0.3, 0.3]), r=0.0, y=np.array([1.0, 1.0]),
                        R=distance(A.norm, [0.3, 0.3], [1.0, 1.0]), norm=A.norm)
-        sample, accepted, proposed = U.sample(100)
-        assert (accepted, proposed) == (0, 100)
+        sample, accepted = U.sample(100)
+        assert accepted == 0
         assert sample.norm == U.norm and np.array_equal(sample.points, [[0.3, 0.3]])
         report = check_two_ball_properties(U, A, 100)
         assert report.all_ok
@@ -250,11 +250,11 @@ class TestTwoBallSet:
     def test_sample_starts_with_anchors(self):
         U = TwoBallSet(c=np.array([1.0, 0.0]), r=0.5, y=np.array([-1.0, 0.0]), R=2.0,
                        norm=pnorm(2, 2), sampler_seed=4)
-        sample, accepted, proposed = U.sample(300)
+        sample, accepted = U.sample(300)
         pts = sample.points
         assert sample.norm == U.norm
         assert np.array_equal(pts[:2], [[1.0, 0.0], [0.5, 0.0]])
-        assert (pts.shape[0], proposed) == (accepted + 2, 300)
+        assert pts.shape[0] == accepted + 2
         assert np.all(eval_norm(U.norm, pts - U.c) <= U.r)
         assert np.all(eval_norm(U.norm, pts - U.y) <= U.R)
 
@@ -372,7 +372,7 @@ class TestEstimateRtz:
         norm = pnorm(2, p)
         z = np.array([0.6, -0.8]) / eval_norm(norm, [0.6, -0.8])
         est = estimate_r_tz(norm, z, t, 1500, seed=11)
-        sample, accepted, _ = TwoBallSet(z, t, np.zeros(2), 1.0, norm, sampler_seed=11).sample(1500)
+        sample, accepted = TwoBallSet(z, t, np.zeros(2), 1.0, norm, sampler_seed=11).sample(1500)
         solved = chebyshev_center(sample, extra_starts=[z])
         assert (est.r_hat, est.sample_count) == (solved.radius, accepted)
 

@@ -328,7 +328,24 @@ class TestFloatOperationsPinned:
         M = pinning_batch().reshape(10, 4, 4)
         for block in M:
             for v in block.T:
-                same_bits(norm_subgradient(pnorm(4, 2), v), self.reference_subgradient("l2", v))
+                same_bits(pnorm(4, 2).family.subgrad(v), self.reference_subgradient("l2", v))
+
+    @pytest.mark.parametrize("n", [2, 4, 7, 10])
+    def test_subgradients_take_strided_rows(self, n):
+        """Every family's ``subgrad`` gives a row of a column-major batch the
+        bits it gives the row's contiguous copy."""
+        rng = rng_stream(37, "strided", n)
+        F = np.asfortranarray(rng.normal(size=(1000, n)) * np.exp(rng.uniform(-5.0, 5.0, size=(1000, n))))
+        F[0] = 0.0
+        F[1] = -0.0
+        assert not F[2].flags.c_contiguous
+        w = np.linspace(0.5, 3.0, n)
+        specs = [pnorm(n, p) for p in (1.0, 1.5, 2.0, 3.0, INF)]
+        specs += [ones_plus_half_l2(n), sup_plus_weighted_l2(w), weighted_pnorm(3.0, w)]
+        specs.append(sum_composite(n, [(2.0, ones_plus_half_l2(n)), (1.0, pnorm(n, 3))]))
+        for spec in specs:
+            for v in F:
+                same_bits(spec.family.subgrad(v), spec.family.subgrad(v.copy()))
 
 
 def layout_batch(n):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,15 +187,16 @@ def _certificate_corpus():
 
 
 def _polyhedral_radius(A):
-    """Exact r(A) where a closed form exists, else None: half the largest
-    coordinate spread for linf, and for planar l1 the same after the
-    isometry x -> (x1 + x2, x1 - x2) onto linf."""
-    fam = A.norm.family
-    if getattr(fam, "p", None) == float("inf"):
-        return float(np.max(np.ptp(A.points, axis=0))) / 2.0
-    if getattr(fam, "p", None) == 1.0 and A.dim == 2:
-        return float(np.max(np.ptp(A.points @ [[1.0, 1.0], [1.0, -1.0]], axis=0))) / 2.0
-    return None
+    """Exact r(A), in fractions, where a closed form exists, else None: half
+    the largest coordinate range for linf, and for planar l1 the same after
+    the isometry (a, b) -> (a + b, a - b) onto linf."""
+    p = getattr(A.norm.family, "p", None)
+    if not (p == float("inf") or (p == 1.0 and A.dim == 2)):
+        return None
+    points = [[Fraction(x) for x in row] for row in A.points.tolist()]
+    if p == 1.0:
+        points = [[a + b, a - b] for a, b in points]
+    return max(max(column) - min(column) for column in zip(*points)) / 2
 
 
 class TestCertificate:
@@ -213,6 +216,16 @@ class TestCertificate:
         exact = _polyhedral_radius(A)
         if exact is not None:
             assert lower <= exact + 1e-12 * max(1.0, exact)
+
+    def test_radius_matches_exact_polyhedral_radius(self):
+        # 200 planar l1 sets, then 100 linf sets at each n in 2, 3 and 5.
+        rng = np.random.default_rng(11)
+        cases = [(2, 1.0)] * 200 + [(n, float("inf")) for n in (2, 3, 5) for _ in range(100)]
+        for n, p in cases:
+            A = PointSet(pnorm(n, p), rng.standard_normal((int(rng.integers(3, 41)), n)))
+            exact = _polyhedral_radius(A)
+            error = abs(Fraction(chebyshev_center(A).radius) - exact)
+            assert error <= Fraction(1e-12) * max(1, exact), (n, p, len(A))
 
 
 def _round_corpus():
@@ -419,6 +432,11 @@ class TestBruteForce:
     def test_coarse_grid_rejected(self):
         with pytest.raises(ValueError, match="grid_per_axis must be >= 3"):
             brute_force_center(unit_vectors_set(2.0), (-np.ones(3), np.ones(3)), grid_per_axis=2)
+
+    @pytest.mark.parametrize("levels", [0, -1])
+    def test_no_refinement_level_rejected(self, levels):
+        with pytest.raises(ValueError, match="refine_levels must be >= 1"):
+            brute_force_center(unit_vectors_set(2.0), (-np.ones(3), np.ones(3)), refine_levels=levels)
 
     @pytest.mark.parametrize("hi", [[1.0, 1.0, -1.0], [1.0, -2.0, 1.0]])
     def test_box_without_extent_rejected(self, hi):
