@@ -8,7 +8,13 @@ holds every Chebyshev center of W, with a subgradient g of F_W at its center
 x; the subgradient inequality then bounds r(W) <= r(A) from below by
 F_W(x) - max_{y in E} g.(x - y).  A round stops once the best radius is
 within 1e-12 * max(1, radius) of the best such bound, or when its budget runs
-out.  The points of A that the round's center misses then join W (a
+out.  Before its first cut it tries a multiplier certificate at its start
+x0 (Rockafellar, *Convex Analysis*, 1970; Nemirovski, Onn & Rothblum,
+"Accuracy certificates for computational problems with convex structure",
+Math. Oper. Res. 2010): weights on the points tied for farthest whose
+subgradients nearly cancel bound r(W) from below, so a start at a center,
+such as the claimed center of a CCF witness, closes its round in 0
+iterations.  The points of A that the round's center misses then join W (a
 Badoiu-Clarkson core set), and rounds repeat until none remain.  While W
 lacks some points, a round is screened first, as core-set schemes solve
 their subproblems only roughly (Kumar, Mitchell & Yildirim, 2003): once its
@@ -30,6 +36,7 @@ other in tests.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -60,6 +67,8 @@ _DIM_CAP = 64
 # max(1, radius).
 _CONVERGED_RTOL = 1e-6
 
+_log = logging.getLogger("ccflab")
+
 
 def _check_solvable(dim: int, max_iters: int | None) -> None:
     """Reject what chebyshev_center cannot solve: a dimension above the cap or
@@ -76,8 +85,9 @@ class CenterResult(Record):
 
     ``radius`` is always the exact outer radius of the set at ``center``.
     ``gap`` is a certified upper bound on radius - r(A): radius minus the
-    best lower bound on r(A) the ellipsoid cuts proved.  It is tight, at most
-    1e-12 * max(1, radius) unless the iteration budget ran out.
+    best lower bound on r(A) that the cuts or the start certificate proved.
+    It is tight, at most 1e-12 * max(1, radius) unless the iteration budget
+    ran out.
     ``iterations`` counts ellipsoid iterations over all working-set rounds.
     A gap above 1e-6 * max(1, radius) sets the ``not_converged`` flag, and
     ``converged`` is then False.
@@ -124,12 +134,73 @@ def _centroid(pts: np.ndarray) -> np.ndarray:
     return np.add.accumulate(pts)[-1] / len(pts)
 
 
+def _start_bound(family, W: np.ndarray, x0: np.ndarray, d: np.ndarray, r0: float):
+    """A lower bound on r(W) from multipliers at x0, or None.
+
+    ``d`` holds the distances from x0 to the rows of W, f their max, and
+    every Chebyshev center y of W lies within ``r0`` of x0 in the Euclidean
+    norm.  The bound needs two or more tied points, those within
+    _ROUND_RTOL * max(1, f) of f: a center has two active points at least,
+    and only tied points can carry weight at a cost below the round's own
+    tolerance.  On the tied rows a_i it takes g_i = subgrad(x0 - a_i) and
+    weights lam >= 0 with sum 1 that make rho = sum lam_i g_i small: least
+    squares on [G^T; 1] lam = [0; 1], dropping the most negative weight and
+    refitting until none is negative.  Then, as ||g_i||_* <= 1,
+
+        r(W) >= sum lam_i ||y - a_i|| >= sum lam_i g_i.(x0 - a_i) + rho.(y - x0)
+             >= S - r0 ||rho||_2,    S = sum lam_i g_i.(x0 - a_i),
+
+    and S = f, rho = 0 at a true center.  In floats the bound subtracts
+    tau = 4 (n + m) eps (f + r0 sigma), m the weights kept and
+    sigma = ||sum lam_i |g_i| ||_2 >= ||rho||_2.  Counted in units of eps/2
+    at the scale f (S <= f up to rounding, and every g_i.v_i >= 0, as each
+    kernel's g matches the signs of v), that covers 1 for the rounded
+    differences v_i, n for the dot products, m for the sum over lam, m + 1
+    for sum lam != 1 after normalizing and 2 for forming the bound, and
+    leaves 7n + 6m - 4 >= 7n + 8 for the kernels' dual norm excess
+    ||g_i||_* - 1.  That excess is 0 for l1 and linf, whose g_i are exact,
+    and up to about 1.5 eps for l2; for lp it grows as about p eps / 2, so
+    lp with p above about 7n outgrows the share, as it does the cuts' own
+    bound.  At the scale r0 sigma: m for rho's rounding, n / 2 + 1 for its
+    norm, n + 4 for r0 (f's own rounding and the formula) and 2 for forming
+    the bound, again within 8 (n + m).
+
+    Returns (bound, tied points, weights kept, ||rho||_2), or None when
+    fewer than two points are tied.
+    """
+    f = float(d.max())
+    tied = np.flatnonzero(d >= f - _ROUND_RTOL * max(1.0, f))
+    if tied.size < 2:
+        return None
+    V = x0 - W[tied]
+    G = np.array([family.subgrad(v) for v in V])
+    keep = np.arange(tied.size)
+    rhs = np.append(np.zeros(len(x0)), 1.0)
+    while True:
+        system = np.vstack([G[keep].T, np.ones(keep.size)])
+        lam = np.linalg.lstsq(system, rhs, rcond=None)[0]
+        if lam.min() >= 0.0:
+            break
+        keep = np.delete(keep, lam.argmin())
+    lam = lam / lam.sum()
+    G, V = G[keep], V[keep]
+    rho_norm = float(np.linalg.norm(lam @ G))
+    sigma = float(np.linalg.norm(lam @ np.abs(G)))
+    tau = 4.0 * (len(x0) + keep.size) * np.finfo(float).eps * (f + r0 * sigma)
+    return float(lam @ np.add.reduce(G * V, axis=-1) - r0 * rho_norm - tau), tied.size, keep.size, rho_norm
+
+
 def _ellipsoid_round(A: PointSet, W: np.ndarray, x0: np.ndarray, max_iters: int, screen: bool):
     """Deep-cut ellipsoid method on F_W(x) = max_{a in W} ||x - a||.
 
-    Starts from the Euclidean ball of radius 2 F_W(x0) sqrt(n) / a around x0
-    (a = linf_lower_constant), which holds every Chebyshev center c of W:
-    ||c - x0|| <= r(W) + F_W(x0).  At its stop the round yields the best
+    Starts from the Euclidean ball of radius r0 = 2 F_W(x0) sqrt(n) / a around
+    x0 (a = linf_lower_constant), which holds every Chebyshev center c of W:
+    ||c - x0|| <= r(W) + F_W(x0).  Before the first cut the round tries the
+    start certificate of :func:`_start_bound`, and logs each one it forms
+    as a DEBUG record of the ``ccflab`` logger; if that bound is within
+    _ROUND_RTOL * max(1, F_W(x0)) of F_W(x0), the round yields x0, its
+    value, the bound, 0 and True, and stops.  Otherwise it runs as if the
+    certificate had not been tried.  At its stop the round yields the best
     point, its value, the best certified lower bound on r(W), the iterations
     (-inf and 0 on overflow) and True.  With ``screen`` it first yields the
     same with False, once the gap falls within _SCREEN_RTOL * max(1, value);
@@ -139,11 +210,23 @@ def _ellipsoid_round(A: PointSet, W: np.ndarray, x0: np.ndarray, max_iters: int,
     n = A.dim
     dist, subgrad = A.norm.family.dist, A.norm.family.subgrad
     x = x0
-    best_x, best_f = x0, float(dist(W - x0).max())
+    d0 = dist(W - x0)
+    best_x, best_f = x0, float(d0.max())
     r0 = 2.0 * best_f * math.sqrt(n) / linf_lower_constant(A.norm)
     if not math.isfinite(r0):
         yield x0, best_f, -math.inf, 0, True
         return
+    certificate = _start_bound(A.norm.family, W, x0, d0, r0)
+    if certificate is not None:
+        lb, ties, support, rho_norm = certificate
+        closed = best_f - lb <= _ROUND_RTOL * max(1.0, best_f)
+        _log.debug(
+            "start certificate: %d tied points, %d weights, |rho| %.3g, lower bound %r, closed %s",
+            ties, support, rho_norm, lb, closed,
+        )
+        if closed:
+            yield x0, best_f, lb, 0, True
+            return
     L = np.eye(n) * r0
     lower = -math.inf
     k = 0

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import ccflab
 from ccflab import CenterResult, ExampleReport, FarthestQuery, WitnessVerdict, norm_to_dict, pnorm
-from ccflab import cli
+from ccflab import cli, reproductions
 from ccflab.ccf import ccnf_scan
 from ccflab.cli import main, reproduce_all
 from ccflab.sampling import rejection_sample_two_balls, rng_stream
@@ -785,6 +786,23 @@ class TestReproduceAll:
         code, _, _ = run(capsys, "reproduce", "all", "--max-iters", "1")
         assert code == 0
         assert seen["max_iters"] == 1
+
+
+class TestSolverLog:
+    def test_ccf_verify_logs_its_start_certificate(self, capsys, caplog):
+        # The lp^3 witness at p = 3: the claimed center (s_p, s_p, s_p) ties
+        # the three unit vectors and closes the solve before the first cut.
+        _, _, points, viewpoint = reproductions._lp3_witness(3.0, 100.0)
+        witness = {"set": {"norm": norm_to_dict(pnorm(3, 3)), "points": points.tolist()},
+                   "center_index": 3, "viewpoint": viewpoint.tolist()}
+        argv = ("ccf-verify", "--input", json.dumps(witness))
+        plain = run(capsys, *argv)
+        caplog.set_level(logging.DEBUG, logger="ccflab")
+        assert run(capsys, *argv) == plain and plain[0] == 0  # the record stays out of the payload
+        (record,) = caplog.records
+        assert record.name == "ccflab" and record.levelno == logging.DEBUG
+        assert record.getMessage().startswith("start certificate: 3 tied points, 3 weights, |rho| ")
+        assert record.getMessage().endswith(", closed True")
 
 
 class TestImportFootprint:

@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,8 @@ from ccflab import (
     symmetric_line_minimize,
     weighted_pnorm,
 )
-from ccflab import solver
+from ccflab import reproductions, solver
+from ccflab.cli import EMBEDDING_NORM
 from ccflab.norms import linf_lower_constant
 from ccflab.sampling import rng_stream
 from ccflab.solver import _CONVERGED_RTOL, _CORE_PER_DIM, _ROUND_RTOL, _centroid, _farthest_first
@@ -218,14 +220,99 @@ class TestCertificate:
             assert lower <= exact + 1e-12 * max(1.0, exact)
 
     def test_radius_matches_exact_polyhedral_radius(self):
-        # 200 planar l1 sets, then 100 linf sets at each n in 2, 3 and 5.
-        rng = np.random.default_rng(11)
-        cases = [(2, 1.0)] * 200 + [(n, float("inf")) for n in (2, 3, 5) for _ in range(100)]
-        for n, p in cases:
-            A = PointSet(pnorm(n, p), rng.standard_normal((int(rng.integers(3, 41)), n)))
+        for A in _polyhedral_corpus():
             exact = _polyhedral_radius(A)
             error = abs(Fraction(chebyshev_center(A).radius) - exact)
-            assert error <= Fraction(1e-12) * max(1, exact), (n, p, len(A))
+            assert error <= Fraction(1e-12) * max(1, exact), (A.dim, A.norm.family.p, len(A))
+
+    def test_start_bound_is_below_exact_polyhedral_radius(self):
+        # At the returned center, with the whole set as the working set, the
+        # start certificate bounds r(A) from below exactly: its rounding term
+        # covers the last bits.
+        corpus = _polyhedral_corpus()
+        opened = 0
+        for A in corpus:
+            x = chebyshev_center(A).center
+            d = A.norm.family.dist(A.points - x)
+            r0 = 2.0 * float(d.max()) * np.sqrt(A.dim) / linf_lower_constant(A.norm)  # the round's start ball
+            certificate = solver._start_bound(A.norm.family, A.points, x, d, r0)
+            if certificate is not None:
+                opened += 1
+                assert Fraction(certificate[0]) <= _polyhedral_radius(A), (A.dim, A.norm.family.p, len(A))
+        assert opened >= 0.9 * len(corpus)
+
+
+def _polyhedral_corpus():
+    """200 planar l1 sets, then 100 linf sets at each n in 2, 3 and 5, of
+    3-40 standard normal points."""
+    rng = np.random.default_rng(11)
+    cases = [(2, 1.0)] * 200 + [(n, float("inf")) for n in (2, 3, 5) for _ in range(100)]
+    return [PointSet(pnorm(n, p), rng.standard_normal((int(rng.integers(3, 41)), n))) for n, p in cases]
+
+
+@pytest.fixture
+def verdicts(monkeypatch):
+    """The (witness, verdict) of every verify_ccf_witness call the
+    reproductions make in the test."""
+    log = []
+    inner = reproductions.verify_ccf_witness
+
+    def recording(w, *args, **kwargs):
+        log.append((w, inner(w, *args, **kwargs)))
+        return log[-1][1]
+
+    monkeypatch.setattr(reproductions, "verify_ccf_witness", recording)
+    return log
+
+
+def _closes_at(res, claimed):
+    """Whether the solve closed before its first cut, at ``claimed``, with a
+    gap of at most 1e-12 * max(1, radius)."""
+    return (
+        res.iterations == 0
+        and res.gap <= 1e-12 * max(1.0, res.radius)
+        and res.center.tobytes() == claimed.tobytes()
+    )
+
+
+class TestStartCertificate:
+    """A start at a Chebyshev center closes its round by the multipliers of
+    its farthest points, before the first cut; any other start runs the
+    ellipsoid."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: reproductions.ap_ccf_check(1.5),
+            lambda: reproductions.ap_ccf_check(3.0),
+            lambda: reproductions.ap_ccf_check(4.0),
+            lambda: reproductions.embed_lp3(EMBEDDING_NORM, (0, 1, 2), test_vectors=300),
+        ],
+        ids=["ap1.5", "ap3", "ap4", "embedding"],
+    )
+    def test_witness_center_closes_before_the_first_cut(self, build, verdicts):
+        assert build().overall
+        ((w, verdict),) = verdicts
+        assert verdict.confirmed
+        assert _closes_at(verdict.solver, w.set.points[w.center_index])
+
+    @pytest.mark.parametrize(
+        "A",
+        [PointSet(pnorm(2, 1), np.eye(2)), PointSet(pnorm(2, 2), [[1.0, 0.0], [-1.0, 0.0]])],
+        ids=["l1-pair", "euclidean-pair"],
+    )
+    def test_pair_closes_at_its_centroid(self, A):
+        assert _closes_at(chebyshev_center(A), A.points.mean(axis=0))
+
+    def test_start_off_center_runs_the_ellipsoid(self, caplog):
+        # The centroid of the three unit vectors ties them all, so the gate
+        # opens, but the bound there does not close the round.
+        caplog.set_level(logging.DEBUG, logger="ccflab")
+        res = chebyshev_center(unit_vectors_set(3.0))
+        assert res.iterations > 0
+        assert res.gap <= _ROUND_RTOL * max(1.0, res.radius)
+        first = caplog.records[0].getMessage()
+        assert "3 tied points" in first and first.endswith("closed False")
 
 
 def _round_corpus():
